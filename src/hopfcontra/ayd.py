@@ -15,8 +15,8 @@ right module / left comodule flavour, whose twisted condition is
 rho(x.h) = S(h_(3)) x_(-1) h_(1) (x) x_(0).h_(2); dualizing it yields an
 lr coefficient on the dual space.
 
-Checks record their outcome on the object (compat_checked / stable_checked
-tri-state flags) so downstream builders can gate on verified inputs.
+Checks are pure functions that store nothing on the object; builders gate
+on verified inputs through ensure_coefficient_checked, which reruns them.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ class AydFlavour:
 
 
 class AydCoefficient:
-    """Module + contramodule on one space, with tri-state check flags."""
+    """Module + contramodule on one space."""
 
-    __slots__ = ("hopf", "flavour", "action", "alpha", "compat_checked", "stable_checked")
+    __slots__ = ("hopf", "flavour", "action", "alpha")
 
     def __init__(self, hopf: HopfData, flavour: AydFlavour,
                  action: ModuleRep, alpha: ContraRep):
@@ -71,8 +71,6 @@ class AydCoefficient:
         self.flavour = flavour
         self.action = action
         self.alpha = alpha
-        self.compat_checked = "unchecked"
-        self.stable_checked = "unchecked"
 
     @property
     def dim(self):
@@ -86,7 +84,7 @@ class AydCoefficient:
 class AydModuleData:
     """Action + coaction on one space (right module, left comodule)."""
 
-    __slots__ = ("hopf", "action", "coaction", "compat_checked", "stable_checked")
+    __slots__ = ("hopf", "action", "coaction")
 
     def __init__(self, hopf: HopfData, action: ModuleRep, coaction: ComoduleRep):
         if action.side != "right" or coaction.side != "left":
@@ -97,8 +95,6 @@ class AydModuleData:
         self.hopf = hopf
         self.action = action
         self.coaction = coaction
-        self.compat_checked = "unchecked"
-        self.stable_checked = "unchecked"
 
     @property
     def dim(self):
@@ -133,57 +129,11 @@ def _transport_operator(c: AydCoefficient, a: int) -> Matrix:
     return out
 
 
-def ll_transport_direct(c: AydCoefficient, a: int) -> Matrix:
-    """Scalar-loop construction of the ll twisting map, for cross checking.
-
-    Builds h' -> h_(2).f(Sinv(h_(1)) h' h_(3)) entry by entry from structure
-    constants, avoiding the operator-composition route entirely.
-    """
-    h = c.hopf
-    F = h.field
-    d, dm = h.dim, c.dim
-    rho = c.action.matrices
-    zero = F.zero
-    out = Matrix.zeros(F, d * dm, d * dm)
-    for (idx, coeff) in h.comul_terms(2)[a]:
-        b, mid, dd = idx
-        sinv_b = h.antipode_inv_of(b)
-        for hp in range(d):
-            # coordinates of Sinv(e_b) * e_hp * e_dd
-            mid_prod = [zero] * d
-            for s in range(d):
-                if sinv_b[s] == zero:
-                    continue
-                for k in range(d):
-                    c1 = h.mul.data[k][s * d + hp]
-                    if c1 != zero:
-                        mid_prod[k] = F.coerce(mid_prod[k] + sinv_b[s] * c1)
-            full = [zero] * d
-            for k in range(d):
-                if mid_prod[k] == zero:
-                    continue
-                for t in range(d):
-                    c2 = h.mul.data[t][k * d + dd]
-                    if c2 != zero:
-                        full[t] = F.coerce(full[t] + mid_prod[k] * c2)
-            for x in range(d):
-                if full[x] == zero:
-                    continue
-                for mp in range(dm):
-                    for m in range(dm):
-                        r = rho[mid].data[mp][m]
-                        if r != zero:
-                            cur = out.data[hp * dm + mp][x * dm + m]
-                            out.data[hp * dm + mp][x * dm + m] = F.coerce(
-                                cur + coeff * full[x] * r)
-    return out
-
-
 def check_ayd_compatibility(c: AydCoefficient) -> Report:
     """Flavour compatibility between the action and the contramodule map.
 
     Requires the action and alpha to pass their own axioms first; failures
-    there raise PrerequisiteFailed.  Records the outcome on the coefficient.
+    there raise PrerequisiteFailed.
     """
     mod = check_module(c.action)
     if not mod.ok:
@@ -203,7 +153,6 @@ def check_ayd_compatibility(c: AydCoefficient) -> Report:
             f"compatibility at basis {a}", lhs, rhs,
             row_dims=(c.dim,), col_dims=(h.dim, c.dim),
         )
-    c.compat_checked = "pass" if rep.ok else "fail"
     return rep
 
 
@@ -234,7 +183,6 @@ def check_ayd_module(n: AydModuleData) -> Report:
             f"compatibility at basis {a}", lhs, rhs,
             row_dims=(h.dim, dn), col_dims=(dn,),
         )
-    n.compat_checked = "pass" if rep.ok else "fail"
     return rep
 
 
@@ -269,7 +217,6 @@ def check_stability(c) -> Report:
                     Matrix.identity(F, dn), col_dims=(dn,))
     else:
         raise ShapeMismatch(f"cannot check stability of {type(c).__name__}")
-    c.stable_checked = "pass" if rep.ok else "fail"
     return rep
 
 
@@ -284,10 +231,7 @@ def dualize_ayd_module(n: AydModuleData) -> AydCoefficient:
     h = n.hopf
     action = ModuleRep(h, "left", [m.transpose() for m in n.action.matrices])
     alpha = dualize_comodule(n.coaction)
-    out = AydCoefficient(h, AydFlavour.from_code("lr"), action, alpha)
-    check_ayd_compatibility(out)
-    check_stability(out)
-    return out
+    return AydCoefficient(h, AydFlavour.from_code("lr"), action, alpha)
 
 
 def build_trivial_coefficient(h: HopfData, flavour: AydFlavour) -> AydCoefficient:
@@ -317,13 +261,9 @@ def one_dim_coefficient(h: HopfData, flavour: AydFlavour,
 
 
 def ensure_coefficient_checked(c: AydCoefficient, need_stable=True):
-    """Run any still-unchecked coefficient checks and gate on the outcome."""
-    if c.compat_checked == "unchecked":
-        check_ayd_compatibility(c)
-    if c.compat_checked != "pass":
+    """Run the coefficient checks and gate on the outcome."""
+    if not check_ayd_compatibility(c).ok:
         raise PrerequisiteFailed("coefficient fails its flavour compatibility check")
-    if c.stable_checked == "unchecked":
-        check_stability(c)
-    if need_stable and c.stable_checked != "pass":
+    if need_stable and not check_stability(c).ok:
         raise PrerequisiteFailed(
             "coefficient is not stable; pass allow_unstable to proceed anyway")

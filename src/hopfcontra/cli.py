@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import replace
 
 import click
 
@@ -92,8 +93,7 @@ def _run_check(session: SessionData, task: TaskSpec) -> Report:
     return rep
 
 
-def _build(session: SessionData, task: TaskSpec, kind: str, cid: str,
-           coeff: AydCoefficient):
+def _build(session: SessionData, task: TaskSpec, kind: str, coeff: AydCoefficient):
     if kind == "cyclic":
         if session.module_coalgebra is None:
             raise TaskError("session declares no module_coalgebra")
@@ -107,28 +107,28 @@ def _build(session: SessionData, task: TaskSpec, kind: str, cid: str,
                                   allow_unstable=task.allow_unstable)
 
 
-def _run_build(session: SessionData, task: TaskSpec, kind: str) -> Report:
-    rep = Report(f"build-{kind}" if kind == "cyclic" else "build-cocyclic")
-    flavour = "lr" if kind == "cyclic" else "ll"
-    for cid, coeff in _pick_coefficients(session, task, flavour=flavour):
-        cx = _build(session, task, kind, cid, coeff)
-        rep.table(f"coefficient {cid}: equivariant dimensions", cx.dims)
-        rep.extend(verify_cyclic_relations(cx), prefix=f"coefficient {cid}")
-    return rep
+def _run_complex(session: SessionData, task: TaskSpec) -> Report:
+    """build-cyclic, build-cocyclic and homology tasks.
 
-
-def _run_homology(session: SessionData, task: TaskSpec) -> Report:
-    kind = task.kind
+    Each complex is built and verified once per session: a later task with
+    the same kind, coefficient, degree and stability override reuses it.
+    """
+    kind = task.kind if task.task == "homology" else task.task[len("build-"):]
     if kind is None:
         kind = "cyclic" if session.module_coalgebra is not None else "cocyclic"
-    rep = Report("homology")
+    rep = Report(task.task)
     flavour = "lr" if kind == "cyclic" else "ll"
     for cid, coeff in _pick_coefficients(session, task, flavour=flavour):
-        cx = _build(session, task, kind, cid, coeff)
+        key = (kind, cid, task.max_degree, task.allow_unstable)
+        if key not in session.complexes:
+            cx = _build(session, task, kind, coeff)
+            session.complexes[key] = (cx, verify_cyclic_relations(cx))
+        cx, relations = session.complexes[key]
         rep.table(f"coefficient {cid}: equivariant dimensions", cx.dims)
-        rep.extend(verify_cyclic_relations(cx), prefix=f"coefficient {cid}")
-        dims = homology_dims(cx, mode=task.mode)
-        rep.table(f"coefficient {cid}: {task.mode} homology dimensions", dims)
+        rep.extend(relations, prefix=f"coefficient {cid}")
+        if task.task == "homology":
+            dims = homology_dims(cx, mode=task.mode)
+            rep.table(f"coefficient {cid}: {task.mode} homology dimensions", dims)
     return rep
 
 
@@ -151,9 +151,9 @@ def _run_homconn(session: SessionData, task: TaskSpec) -> Report:
 
 _RUNNERS = {
     "check": _run_check,
-    "build-cyclic": lambda s, t: _run_build(s, t, "cyclic"),
-    "build-cocyclic": lambda s, t: _run_build(s, t, "cocyclic"),
-    "homology": _run_homology,
+    "build-cyclic": _run_complex,
+    "build-cocyclic": _run_complex,
+    "homology": _run_complex,
     "homconn": _run_homconn,
 }
 
@@ -251,8 +251,7 @@ def _execute(session_path, tasks, out, fmt, allow_unstable=False):
             click.echo("task error: session declares no tasks", err=True)
             sys.exit(EXIT_TASK)
     if allow_unstable:
-        for t in tasks:
-            t.allow_unstable = True
+        tasks = [replace(t, allow_unstable=True) for t in tasks]
     results = []
     try:
         for task in tasks:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .ayd import AydCoefficient, ensure_coefficient_checked
+from .ayd import AydCoefficient, AydFlavour, ensure_coefficient_checked
 from .errors import (CharacteristicUnsupported, CompositionNotZero,
                      DimensionCapExceeded, NotEquivariant, PrerequisiteFailed,
                      ShapeMismatch)
@@ -214,31 +214,29 @@ class EquivariantBasis:
         return self.space.ambient_dim
 
 
-def equivariant_hom_basis(x: ModuleRep, m: AydCoefficient, n: int,
-                          require_checked: bool = True) -> EquivariantBasis:
+def _check_cap(ambient):
+    cap = _dim_cap()
+    if ambient > cap:
+        raise DimensionCapExceeded(
+            f"hom space dimension {ambient} exceeds the cap {cap}")
+
+
+def equivariant_hom_basis(x: ModuleRep, m: AydCoefficient, n: int) -> EquivariantBasis:
     """Basis of Hom_H(X^(x)(n+1), M), cut out degree by degree.
 
     The intertwiner constraints are imposed one Hopf basis element at a
     time, shrinking the candidate basis at each step; this keeps every
-    elimination at most ambient-size wide.
+    elimination at most ambient-size wide.  The coefficient is not checked
+    here: the builders gate on it first.
     """
     if x.side != "left" or m.flavour.module_side != "left":
         raise ShapeMismatch("equivariance here means left-linear maps")
-    if require_checked:
-        if m.compat_checked == "unchecked":
-            from .ayd import check_ayd_compatibility
-            check_ayd_compatibility(m)
-        if m.compat_checked != "pass":
-            raise PrerequisiteFailed("coefficient fails its compatibility check")
+    _check_cap(x.dim ** (n + 1) * m.dim)
     F = x.field
     dM = m.dim
     diag = diagonal_power(x, n + 1)
     dX = diag.dim
     ambient = dX * dM
-    cap = _dim_cap()
-    if ambient > cap:
-        raise DimensionCapExceeded(
-            f"hom space dimension {ambient} exceeds the cap {cap}")
     I_x = Matrix.identity(F, dX)
     I_m = Matrix.identity(F, dM)
     basis = Matrix.identity(F, ambient)
@@ -306,230 +304,172 @@ def build_cyclic_complex(c: ModuleCoalgebraData, m: AydCoefficient,
                          max_degree: int = 3, allow_unstable: bool = False,
                          require_checked: bool = True) -> CyclicComplexData:
     """Cyclic complex of a module coalgebra with a left-right coefficient."""
-    if m.flavour.code != "lr":
-        raise PrerequisiteFailed(
-            f"cyclic complexes take left-right coefficients, got {m.flavour.code}")
-    struct = check_module_coalgebra(c)
-    if not struct.ok:
-        raise PrerequisiteFailed(f"module coalgebra fails {struct.failures()[0].name}")
-    if require_checked:
-        ensure_coefficient_checked(m, need_stable=not allow_unstable)
-    F = c.action.field
-    h = c.hopf
-    dh, dx, dm = h.dim, c.dim, m.dim
-    alpha = m.alpha.alpha
-    com, eps = c.coalgebra.comul, c.coalgebra.counit
-    act_flat = c.action.action_matrix()
-    N = max_degree
-
-    bases = [equivariant_hom_basis(c.action, m, n, require_checked=require_checked)
-             for n in range(N + 1)]
-
-    def eye(k):
-        return Matrix.identity(F, dx ** k)
-
-    faces, degens, cyclers = {}, {}, {}
-    for n in range(1, N + 1):
-        ops = []
-        for i in range(n):
-            g = kron(eye(i), kron(com, eye(n - 1 - i)))
-            ops.append(_restrict(f"face {i} at degree {n}",
-                                 _hom_precompose(g, dm), bases[n], bases[n - 1]))
-        # last face: split the first tensor leg, rotate it behind, then act
-        perm = [s + 2 for s in range(n)] + [0, 1]
-        rowmap = tensor_permutation_map((dh, dx, dx) + (dx,) * (n - 1), tuple(perm))
-        split = kron(Matrix.identity(F, dh), kron(com, eye(n - 1)))
-        w = permute_cols(kron(eye(n), act_flat), rowmap) @ split
-        ops.append(_restrict(f"face {n} at degree {n}",
-                             _alpha_route(alpha, w, dh, dx ** n, dm),
-                             bases[n], bases[n - 1]))
-        faces[n] = ops
-    for n in range(N):
-        ops = []
-        for j in range(n + 1):
-            v = kron(eye(j + 1), kron(eps, eye(n - j)))
-            ops.append(_restrict(f"degeneracy {j} at degree {n}",
-                                 _hom_precompose(v, dm), bases[n], bases[n + 1]))
-        degens[n] = ops
-    for n in range(N + 1):
-        if n == 0:
-            w = act_flat
-        else:
-            perm = [s + 2 for s in range(n)] + [0, 1]
-            rowmap = tensor_permutation_map((dh,) + (dx,) * (n + 1), tuple(perm))
-            w = permute_cols(kron(eye(n), act_flat), rowmap)
-        cyclers[n] = _restrict(f"cyclic operator at degree {n}",
-                               _alpha_route(alpha, w, dh, dx ** (n + 1), dm),
-                               bases[n], bases[n])
-    return CyclicComplexData("cyclic", m, N, bases, faces, degens, cyclers)
+    return _build_complex("cyclic", "lr", c, check_module_coalgebra, c.coalgebra.comul,
+                          c.coalgebra.counit, m, max_degree, allow_unstable, require_checked)
 
 
 def build_cocyclic_complex(a: ModuleAlgebraData, m: AydCoefficient,
                            max_degree: int = 3, allow_unstable: bool = False,
                            require_checked: bool = True) -> CyclicComplexData:
     """Cocyclic complex of a module algebra with a left-left coefficient."""
-    if m.flavour.code != "ll":
-        raise PrerequisiteFailed(
-            f"cocyclic complexes take left-left coefficients, got {m.flavour.code}")
-    struct = check_module_algebra(a)
+    return _build_complex("cocyclic", "ll", a, check_module_algebra, a.algebra.mul,
+                          a.algebra.unit, m, max_degree, allow_unstable, require_checked)
+
+
+def _build_complex(kind, flavour, data, check, g, e, m, N, allow_unstable, require_checked):
+    """The complex of `data` with structure map g (comul or mul) and e its
+    counit or unit.
+
+    Inner (co)faces and (co)degeneracies precompose with id (x) g (x) id and
+    id (x) e (x) id, and are restricted from the degree of that map's
+    codomain to the degree of its domain.  The (co)cyclic operator routes
+    the contramodule map through a slot rotation followed by the action,
+    which sits on the last tensor leg for cyclic and on the first for
+    cocyclic; the last (co)face is that route composed with the 0-th
+    (co)face map.
+    """
+    cyclic = kind == "cyclic"
+    if m.flavour.code != flavour:
+        sides = AydFlavour.from_code(flavour)
+        raise PrerequisiteFailed(f"{kind} complexes take {sides.module_side}-"
+                                 f"{sides.contra_side} coefficients, got {m.flavour.code}")
+    struct = check(data)
     if not struct.ok:
-        raise PrerequisiteFailed(f"module algebra fails {struct.failures()[0].name}")
+        raise PrerequisiteFailed(f"{struct.title} fails {struct.failures()[0].name}")
     if require_checked:
         ensure_coefficient_checked(m, need_stable=not allow_unstable)
-    F = a.action.field
-    h = a.hopf
-    dh, da, dm = h.dim, a.dim, m.dim
+    x = data.action
+    F = x.field
+    dh, dx, dm = x.hopf.dim, x.dim, m.dim
+    for n in range(N + 1):
+        _check_cap(dx ** (n + 1) * dm)
     alpha = m.alpha.alpha
-    mul, unit = a.algebra.mul, a.algebra.unit
-    act_flat = a.action.action_matrix()
-    N = max_degree
-
-    bases = [equivariant_hom_basis(a.action, m, n, require_checked=require_checked)
-             for n in range(N + 1)]
+    act_flat = x.action_matrix()
+    bases = [equivariant_hom_basis(x, m, n) for n in range(N + 1)]
+    prefix = "" if cyclic else "co"
 
     def eye(k):
-        return Matrix.identity(F, da ** k)
+        return Matrix.identity(F, dx ** k)
+
+    def inner(i, u, k):
+        return kron(eye(i), kron(u, eye(k)))
+
+    def restrict(name, op, n, k):
+        # cyclic operators run from degree n to k, cocyclic ones from k to n
+        src, dst = (n, k) if cyclic else (k, n)
+        return _restrict(prefix + name, op, bases[src], bases[dst])
+
+    def rotation(n):
+        """H (x) X^(n+1) -> X^(n+1): rotate the tensor legs, then act."""
+        if cyclic:
+            perm, acted = [s + 2 for s in range(n)] + [0, 1], kron(eye(n), act_flat)
+        else:
+            perm, acted = [0, n + 1] + [s + 1 for s in range(n)], kron(act_flat, eye(n))
+        return permute_cols(acted, tensor_permutation_map((dh,) + (dx,) * (n + 1), tuple(perm)))
+
+    def routed(w):
+        return _alpha_route(alpha, w, dh, w.cols // dh, dm)
 
     faces, degens, cyclers = {}, {}, {}
     for n in range(1, N + 1):
-        ops = []
-        for i in range(n):
-            g = kron(eye(i), kron(mul, eye(n - 1 - i)))
-            ops.append(_restrict(f"coface {i} at degree {n}",
-                                 _hom_precompose(g, dm), bases[n - 1], bases[n]))
-        perm = [0, n + 1] + [s + 1 for s in range(n)]
-        rowmap = tensor_permutation_map((dh,) + (da,) * (n + 1), tuple(perm))
-        w = kron(mul, eye(n - 1)) @ permute_cols(kron(act_flat, eye(n)), rowmap)
-        ops.append(_restrict(f"coface {n} at degree {n}",
-                             _alpha_route(alpha, w, dh, da ** (n + 1), dm),
-                             bases[n - 1], bases[n]))
+        ops = [restrict(f"face {i} at degree {n}",
+                        _hom_precompose(inner(i, g, n - 1 - i), dm), n, n - 1)
+               for i in range(n)]
+        g0 = inner(0, g, n - 1)
+        w = rotation(n) @ kron(Matrix.identity(F, dh), g0) if cyclic else g0 @ rotation(n)
+        ops.append(restrict(f"face {n} at degree {n}", routed(w), n, n - 1))
         faces[n] = ops
     for n in range(N):
-        ops = []
-        for j in range(n + 1):
-            v = kron(eye(j + 1), kron(unit, eye(n - j)))
-            ops.append(_restrict(f"codegeneracy {j} at degree {n}",
-                                 _hom_precompose(v, dm), bases[n + 1], bases[n]))
-        degens[n] = ops
+        degens[n] = [restrict(f"degeneracy {j} at degree {n}",
+                              _hom_precompose(inner(j + 1, e, n - j), dm), n, n + 1)
+                     for j in range(n + 1)]
     for n in range(N + 1):
-        perm = [0, n + 1] + [s + 1 for s in range(n)]
-        rowmap = tensor_permutation_map((dh,) + (da,) * (n + 1), tuple(perm))
-        w = permute_cols(kron(act_flat, eye(n)), rowmap)
-        cyclers[n] = _restrict(f"cocyclic operator at degree {n}",
-                               _alpha_route(alpha, w, dh, da ** (n + 1), dm),
-                               bases[n], bases[n])
-    return CyclicComplexData("cocyclic", m, N, bases, faces, degens, cyclers)
+        cyclers[n] = restrict(f"cyclic operator at degree {n}", routed(rotation(n)), n, n)
+    return CyclicComplexData(kind, m, N, bases, faces, degens, cyclers)
+
+
+def _relation_table(N):
+    """Every cyclic-module identity that fits in degrees 0..N, in report order.
+
+    Yields (lhs, rhs, phrases).  A side is a word of factors (letter, index,
+    degree) for d, s, t, the power t^ and id; the word is composed as written
+    for a cyclic complex and read right to left for a cocyclic one, whose
+    degree phrase is phrases[1].
+    """
+    for n in range(2, N + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                yield ([("d", i, n - 1), ("d", j, n)], [("d", j - 1, n - 1), ("d", i, n)],
+                       (f"at degree {n}", f"from degree {n - 2}"))
+    for n in range(N - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                yield ([("s", i, n + 1), ("s", j, n)], [("s", j + 1, n + 1), ("s", i, n)],
+                       (f"at degree {n}", f"into degree {n}"))
+    for n in range(N):
+        at = (f"at degree {n}",) * 2
+        for j in range(n + 1):
+            for i in range(n + 2):
+                if i < j:
+                    rhs = [("s", j - 1, n - 1), ("d", i, n)]
+                elif i in (j, j + 1):
+                    rhs = [("id", None, n)]
+                else:
+                    rhs = [("s", j, n - 1), ("d", i - 1, n)]
+                yield [("d", i, n + 1), ("s", j, n)], rhs, at
+    for n in range(1, N + 1):
+        at = (f"at degree {n}",) * 2
+        yield [("d", 0, n), ("t", None, n)], [("d", n, n)], at
+        for i in range(1, n + 1):
+            yield [("d", i, n), ("t", None, n)], [("t", None, n - 1), ("d", i - 1, n)], at
+    for n in range(N):
+        at = (f"at degree {n}",) * 2
+        yield ([("s", 0, n), ("t", None, n)],
+               [("t", None, n + 1), ("t", None, n + 1), ("s", n, n)], at)
+        for i in range(1, n + 1):
+            yield [("s", i, n), ("t", None, n)], [("t", None, n + 1), ("s", i - 1, n)], at
+    for n in range(N + 1):
+        yield [("t^", n + 1, n)], [("id", None, n)], (f"at degree {n}",) * 2
+
+
+_LETTERS = {
+    "cyclic": {"d": "d", "s": "s", "t": "t", "t^": "t^", "id": "id"},
+    "cocyclic": {"d": "delta", "s": "sigma", "t": "tau", "t^": "tau^", "id": "id"},
+}
 
 
 def verify_cyclic_relations(cx: CyclicComplexData) -> Report:
     """All simplicial, degeneracy, and cyclic-operator identities that fit
     inside the built range of degrees."""
-    if cx.kind == "cyclic":
-        return _verify_cyclic(cx)
-    return _verify_cocyclic(cx)
+    rep = Report(f"{cx.kind} relations")
+    cyclic = cx.kind == "cyclic"
+    letters = _LETTERS[cx.kind]
 
+    def factor(letter, index, n):
+        if letter == "d":
+            return cx.faces[n][index]
+        if letter == "s":
+            return cx.degens[n][index]
+        if letter == "t":
+            return cx.cyclers[n]
+        # t^index, with id as t^0
+        out = Matrix.identity(cx.field, cx.bases[n].dim)
+        for _ in range(index or 0):
+            out = cx.cyclers[n] @ out
+        return out
 
-def _verify_cyclic(cx: CyclicComplexData) -> Report:
-    rep = Report("cyclic relations")
-    F = cx.field
-    N = cx.max_degree
-    d, s, t = cx.faces, cx.degens, cx.cyclers
-    for n in range(2, N + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                rep.compare(f"d{i} d{j} = d{j - 1} d{i} at degree {n}",
-                            d[n - 1][i] @ d[n][j], d[n - 1][j - 1] @ d[n][i])
-    for n in range(N - 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                rep.compare(f"s{i} s{j} = s{j + 1} s{i} at degree {n}",
-                            s[n + 1][i] @ s[n][j], s[n + 1][j + 1] @ s[n][i])
-    for n in range(N):
-        ident = Matrix.identity(F, cx.bases[n].dim)
-        for j in range(n + 1):
-            for i in range(n + 2):
-                lhs = d[n + 1][i] @ s[n][j]
-                if i < j:
-                    if n == 0:
-                        continue
-                    rep.compare(f"d{i} s{j} = s{j - 1} d{i} at degree {n}",
-                                lhs, s[n - 1][j - 1] @ d[n][i])
-                elif i in (j, j + 1):
-                    rep.compare(f"d{i} s{j} = id at degree {n}", lhs, ident)
-                else:
-                    if n == 0:
-                        continue
-                    rep.compare(f"d{i} s{j} = s{j} d{i - 1} at degree {n}",
-                                lhs, s[n - 1][j] @ d[n][i - 1])
-    for n in range(1, N + 1):
-        rep.compare(f"d0 t = d{n} at degree {n}", d[n][0] @ t[n], d[n][n])
-        for i in range(1, n + 1):
-            rep.compare(f"d{i} t = t d{i - 1} at degree {n}",
-                        d[n][i] @ t[n], t[n - 1] @ d[n][i - 1])
-    for n in range(N):
-        rep.compare(f"s0 t = t t s{n} at degree {n}",
-                    s[n][0] @ t[n], t[n + 1] @ t[n + 1] @ s[n][n])
-        for i in range(1, n + 1):
-            rep.compare(f"s{i} t = t s{i - 1} at degree {n}",
-                        s[n][i] @ t[n], t[n + 1] @ s[n][i - 1])
-    for n in range(N + 1):
-        power = Matrix.identity(F, cx.bases[n].dim)
-        for _ in range(n + 1):
-            power = t[n] @ power
-        rep.compare(f"t^{n + 1} = id at degree {n}",
-                    power, Matrix.identity(F, cx.bases[n].dim))
-    return rep
+    def word(side):
+        side = side if cyclic else side[::-1]
+        name = " ".join(letters[l] + ("" if k is None else str(k)) for l, k, _ in side)
+        ops = [factor(*f) for f in side]
+        out = ops[0]
+        for op in ops[1:]:
+            out = out @ op
+        return name, out
 
-
-def _verify_cocyclic(cx: CyclicComplexData) -> Report:
-    rep = Report("cocyclic relations")
-    F = cx.field
-    N = cx.max_degree
-    d, s, t = cx.faces, cx.degens, cx.cyclers
-    for n in range(1, N):
-        for j in range(n + 2):
-            for i in range(j):
-                rep.compare(f"delta{j} delta{i} = delta{i} delta{j - 1} from degree {n - 1}",
-                            d[n + 1][j] @ d[n][i], d[n + 1][i] @ d[n][j - 1])
-    for n in range(N - 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                rep.compare(f"sigma{j} sigma{i} = sigma{i} sigma{j + 1} into degree {n}",
-                            s[n][j] @ s[n + 1][i], s[n][i] @ s[n + 1][j + 1])
-    for n in range(N):
-        ident = Matrix.identity(F, cx.bases[n].dim)
-        for j in range(n + 1):
-            for i in range(n + 2):
-                lhs = s[n][j] @ d[n + 1][i]
-                if i < j:
-                    if n == 0:
-                        continue
-                    rep.compare(f"sigma{j} delta{i} = delta{i} sigma{j - 1} at degree {n}",
-                                lhs, d[n][i] @ s[n - 1][j - 1])
-                elif i in (j, j + 1):
-                    rep.compare(f"sigma{j} delta{i} = id at degree {n}", lhs, ident)
-                else:
-                    if n == 0:
-                        continue
-                    rep.compare(f"sigma{j} delta{i} = delta{i - 1} sigma{j} at degree {n}",
-                                lhs, d[n][i - 1] @ s[n - 1][j])
-    for n in range(1, N + 1):
-        rep.compare(f"tau delta0 = delta{n} at degree {n}", t[n] @ d[n][0], d[n][n])
-        for i in range(1, n + 1):
-            rep.compare(f"tau delta{i} = delta{i - 1} tau at degree {n}",
-                        t[n] @ d[n][i], d[n][i - 1] @ t[n - 1])
-    for n in range(N):
-        rep.compare(f"tau sigma0 = sigma{n} tau tau at degree {n}",
-                    t[n] @ s[n][0], s[n][n] @ t[n + 1] @ t[n + 1])
-        for i in range(1, n + 1):
-            rep.compare(f"tau sigma{i} = sigma{i - 1} tau at degree {n}",
-                        t[n] @ s[n][i], s[n][i - 1] @ t[n + 1])
-    for n in range(N + 1):
-        power = Matrix.identity(F, cx.bases[n].dim)
-        for _ in range(n + 1):
-            power = t[n] @ power
-        rep.compare(f"tau^{n + 1} = id at degree {n}",
-                    power, Matrix.identity(F, cx.bases[n].dim))
+    for lhs, rhs, phrases in _relation_table(cx.max_degree):
+        (lname, lmat), (rname, rmat) = word(lhs), word(rhs)
+        rep.compare(f"{lname} = {rname} {phrases[0 if cyclic else 1]}", lmat, rmat)
     return rep
 
 

@@ -26,14 +26,33 @@ from .errors import (
 )
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# MODULUS_LIMIT (Sorenson and Webster, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MODULUS_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin; exact for n < MODULUS_LIMIT."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -43,6 +62,9 @@ class FieldSpec:
     __slots__ = ("p",)
 
     def __init__(self, p=None):
+        if p is not None and p >= MODULUS_LIMIT:
+            raise ValueError(f"modulus {p} is too large; primality is decided "
+                             f"only below {MODULUS_LIMIT}")
         if p is not None and not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
@@ -326,6 +348,16 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, rows, cols, out)
 
 
+def split_index(flat, dims):
+    """Split a flat tensor index into per-slot digits, left slot major."""
+    digits = []
+    for d in reversed(dims):
+        flat, r = divmod(flat, d)
+        digits.append(r)
+    digits.reverse()
+    return digits
+
+
 def tensor_permutation(field, dims, perm) -> Matrix:
     """Permutation matrix rearranging tensor slots.
 
@@ -333,28 +365,8 @@ def tensor_permutation(field, dims, perm) -> Matrix:
     dimensions.  tensor_permutation(F, (a, b), (1, 0)) is the swap
     V(x)W -> W(x)V.
     """
-    k = len(dims)
-    if sorted(perm) != list(range(k)):
-        raise ShapeMismatch(f"{perm} is not a permutation of 0..{k - 1}")
-    total = 1
-    for d in dims:
-        total *= d
-    out_dims = [dims[perm[s]] for s in range(k)]
-    out = Matrix.zeros(field, total, total)
-    one = field.one
-    for flat_in in range(total):
-        # decompose flat_in into slot digits, left slot major
-        digits = []
-        rem = flat_in
-        for d in reversed(dims):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()
-        flat_out = 0
-        for s in range(k):
-            flat_out = flat_out * out_dims[s] + digits[perm[s]]
-        out.data[flat_out][flat_in] = one
-    return out
+    new_to_old = tensor_permutation_map(dims, perm)
+    return permute_rows(Matrix.identity(field, len(new_to_old)), new_to_old)
 
 
 def tensor_permutation_map(dims, perm):
@@ -363,7 +375,7 @@ def tensor_permutation_map(dims, perm):
     Lets callers apply large slot permutations by row reindexing instead of
     multiplying by an explicit permutation matrix.
     """
-    k = len(perm)
+    k = len(dims)
     if sorted(perm) != list(range(k)):
         raise ShapeMismatch(f"{perm} is not a permutation of 0..{k - 1}")
     total = 1
@@ -372,12 +384,7 @@ def tensor_permutation_map(dims, perm):
     out_dims = [dims[perm[s]] for s in range(k)]
     new_to_old = [0] * total
     for flat_in in range(total):
-        digits = []
-        rem = flat_in
-        for d in reversed(dims):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()
+        digits = split_index(flat_in, dims)
         flat_out = 0
         for s in range(k):
             flat_out = flat_out * out_dims[s] + digits[perm[s]]
@@ -654,9 +661,7 @@ def homology_dims(d_in: Matrix, d_out: Matrix) -> int:
                 raise CompositionNotZero(
                     f"d_out @ d_in nonzero at column {j}", column=j
                 )
-    rank_out, _, _ = rank_kernel_image(d_out)
-    rank_in = rank_of(d_in)
-    return (d_out.cols - rank_out) - rank_in
+    return (d_out.cols - rank_of(d_out)) - rank_of(d_in)
 
 
 def quotient_projection(sub: Matrix):

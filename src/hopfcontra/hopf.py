@@ -13,7 +13,7 @@ are cached on the object after first use.
 from __future__ import annotations
 
 from .errors import CharacteristicClash, ShapeMismatch, UnknownName
-from .exactla import FieldSpec, Matrix, inverse, kron, tensor_permutation
+from .exactla import FieldSpec, Matrix, inverse, kron, split_index, tensor_permutation
 from .report import Report
 
 
@@ -198,13 +198,7 @@ class HopfData:
             d = self.dim
             terms = [[] for _ in range(d)]
             for (row, i, c) in mat.nonzero_entries():
-                digits = []
-                rem = row
-                for _ in range(k + 1):
-                    digits.append(rem % d)
-                    rem //= d
-                digits.reverse()
-                terms[i].append((tuple(digits), c))
+                terms[i].append((tuple(split_index(row, (d,) * (k + 1))), c))
             self._cache[key] = terms
         return self._cache[key]
 
@@ -271,11 +265,6 @@ def check_hopf_axioms(h: HopfData) -> Report:
     rep.compare("co-opposite antipode left", mul @ kron(Sinv, I) @ com_op, target, col_dims=(d,))
     rep.compare("co-opposite antipode right", mul @ kron(I, Sinv) @ com_op, target, col_dims=(d,))
     return rep
-
-
-def is_cocommutative(h: HopfData) -> bool:
-    swap = tensor_permutation(h.field, (h.dim, h.dim), (1, 0))
-    return swap @ h.comul == h.comul
 
 
 def _group_algebra(field, elems, mult, inv):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactla import Matrix
+from .exactla import Matrix, split_index
 
 # Convention notes, emitted at most once per report by the code paths that
 # rely on them.  Keyed by a stable id so reports stay byte-identical.
@@ -35,19 +35,6 @@ NOTES = {
 }
 
 
-def _decompose(flat, dims):
-    """Split a flat tensor index into per-slot digits (left slot major)."""
-    if not dims:
-        return []
-    digits = []
-    rem = flat
-    for d in reversed(dims):
-        digits.append(rem % d)
-        rem //= d
-    digits.reverse()
-    return digits
-
-
 def first_difference(lhs: Matrix, rhs: Matrix, row_dims=None, col_dims=None):
     """Witness for lhs != rhs, or None when the matrices agree.
 
@@ -64,9 +51,9 @@ def first_difference(lhs: Matrix, rhs: Matrix, row_dims=None, col_dims=None):
             if lrow[j] != rrow[j]:
                 witness = {"row": i, "col": j, "lhs": fmt(lrow[j]), "rhs": fmt(rrow[j])}
                 if row_dims:
-                    witness["row_index"] = _decompose(i, list(row_dims))
+                    witness["row_index"] = split_index(i, row_dims)
                 if col_dims:
-                    witness["col_index"] = _decompose(j, list(col_dims))
+                    witness["col_index"] = split_index(j, col_dims)
                 return witness
     return None
 

@@ -56,15 +56,6 @@ class ModuleRep:
         """Flattened action H (x) M -> M; column block a is matrices[a]."""
         return hstack(self.matrices)
 
-    def act_by(self, coords):
-        """Action operator of the element with the given coordinates."""
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        zero = self.field.zero
-        for a, c in enumerate(coords):
-            if c != zero:
-                out = out + self.matrices[a].scale(c)
-        return out
-
 
 class ComoduleRep:
     """Comodule over the coalgebra part; rho is C (x) N valued on the left
@@ -116,57 +107,6 @@ class ContraRep:
     @property
     def field(self):
         return self.coalgebra.field
-
-
-def curry_uncurry(direction: str, f: Matrix, dims) -> Matrix:
-    """Reindex between Hom(C, Hom(C', M)) and Hom(C (x) C', M).
-
-    dims is (dim C, dim C', dim M).  The nested space has flat index
-    c*(dimC'*dimM) + c'*dimM + m; the uncurried space has (c*dimC' + c')*dimM + m.
-
-    Directions: 'uncurry' sends f to the map (c (x) c') -> f(c)(c');
-    'uncurry_swapped' sends f to (c (x) c') -> f(c')(c); 'curry' and
-    'curry_swapped' invert them.  As vectors both spaces carry the same
-    coordinates, so 'uncurry' is the identity relabeling and the swapped
-    forms permute the two outer slots.
-    """
-    dc, dcp, dm = dims
-    total = dc * dcp * dm
-    # f may be a single coordinate vector or a matrix of stacked vectors
-    if f.rows != total:
-        raise ShapeMismatch(f"expected {total} coordinates, got {f.rows}")
-    if direction in ("uncurry", "curry"):
-        return f
-    if direction in ("uncurry_swapped", "curry_swapped"):
-        field = f.field
-        out = Matrix.zeros(field, total, f.cols)
-        for c in range(dc):
-            for cp in range(dcp):
-                if direction == "uncurry_swapped":
-                    # output index over C (x) C' reads (c', c) from the input
-                    src_base = (c * dcp + cp) * dm
-                    dst_base = (cp * dc + c) * dm
-                else:
-                    src_base = (cp * dc + c) * dm
-                    dst_base = (c * dcp + cp) * dm
-                for m in range(dm):
-                    row = f.data[src_base + m]
-                    out.data[dst_base + m] = list(row)
-        return out
-    raise ShapeMismatch(f"unknown direction {direction!r}")
-
-
-def hom_curry_permutation(field, dc, dcp, dm, swapped=False) -> Matrix:
-    """Permutation matrix of curry_uncurry('uncurry', ...) on coordinates."""
-    total = dc * dcp * dm
-    if not swapped:
-        return Matrix.identity(field, total)
-    entries = []
-    for c in range(dc):
-        for cp in range(dcp):
-            for m in range(dm):
-                entries.append(((cp * dc + c) * dm + m, (c * dcp + cp) * dm + m, field.one))
-    return Matrix.from_entries(field, total, total, entries)
 
 
 def check_module(r: ModuleRep) -> Report:
@@ -221,14 +161,6 @@ def check_comodule(r: ComoduleRep) -> Report:
     return rep
 
 
-def check_module_comodule(r) -> Report:
-    if isinstance(r, ModuleRep):
-        return check_module(r)
-    if isinstance(r, ComoduleRep):
-        return check_comodule(r)
-    raise ShapeMismatch(f"expected a module or comodule, got {type(r).__name__}")
-
-
 def check_contramodule(m: ContraRep) -> Report:
     """Contraassociativity and counit law.
 
@@ -245,9 +177,9 @@ def check_contramodule(m: ContraRep) -> Report:
     I_c = Matrix.identity(F, d)
     # Hom(C, alpha): postcompose alpha inside Hom(C, Hom(C, M))
     inner = kron(I_c, A)
-    # uncurry Hom(C, Hom(C, M)) -> Hom(C (x) C, M), then precompose comul
-    theta = hom_curry_permutation(F, d, d, dm, swapped=False)
-    outer = kron(C.comul.transpose(), I_m) @ theta
+    # Hom(C, Hom(C, M)) and Hom(C (x) C, M) share coordinates, so uncurrying
+    # is the identity; then precompose comul
+    outer = kron(C.comul.transpose(), I_m)
     rep.compare(
         "contraassociativity", A @ inner, A @ outer,
         row_dims=(dm,), col_dims=(d, d, dm),

@@ -55,6 +55,9 @@ class SessionData:
     coefficients: dict
     coefficient_order: list
     tasks: list = dc_field(default_factory=list)
+    # built complexes and their relation reports, shared by the session's
+    # tasks: (kind, coefficient id, max_degree, allow_unstable) -> (cx, report)
+    complexes: dict = dc_field(default_factory=dict)
 
 
 def _fail(message, path):

@@ -254,7 +254,7 @@ def test_c10_connections_are_flat_and_corruption_is_caught(c2, h4, h4_gf7):
     assert curvature_and_flatness(hc2)[0].is_zero()
     evg = one_dim_coefficient(h4, RR, [1, 1, 0, 0], [0, 1, 0, 0])
     hc4 = hom_connection_from_contramodule(evg, build_dga(h4))
-    assert evg.compat_checked == "pass"
+    assert check_ayd_compatibility(evg).ok
     assert check_leibniz(hc4).ok
     assert curvature_and_flatness(hc4)[0].is_zero()
     bad = one_dim_coefficient(h4, RR, [1, 1, 0, 0], [0, 0, 1, 0])

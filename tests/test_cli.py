@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import runpy
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 
 from hopfcontra import cli
 from hopfcontra.cli import main
+from hopfcontra.session import load_session
 
 ROOT = Path(__file__).resolve().parent.parent
 SESSIONS = ROOT / "sessions"
@@ -115,6 +117,53 @@ def test_report_without_tasks_is_a_task_error(tmp_path):
     res = _invoke(["report", p])
     assert res.exit_code == 5
     assert "declares no tasks" in res.stderr
+
+
+def test_modulus_beyond_exact_primality_is_a_validation_error(tmp_path):
+    p = tmp_path / "huge.session"
+    p.write_text(json.dumps({"field": {"kind": "GF", "p": 10 ** 25},
+                             "hopf": {"name": "group_C2"}}))
+    res = _invoke(["check", p])
+    assert res.exit_code == 4
+    assert "validation error at field.p" in res.stderr
+    assert "too large" in res.stderr
+
+
+def test_report_builds_each_complex_once(tmp_path, monkeypatch):
+    # build-cyclic and homology share one key, so one build serves both
+    calls = []
+    real = cli.build_cyclic_complex
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_cyclic_complex", counting)
+    out = tmp_path / "c2_trivial"
+    res = _invoke(["report", SESSIONS / "c2_trivial.session", "--out", out])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 1
+    for suffix in (".json", ".txt"):
+        assert (out.with_suffix(suffix).read_bytes()
+                == (GOLDEN / f"c2_trivial{suffix}").read_bytes())
+
+
+def test_allow_unstable_leaves_session_tasks_unchanged(tmp_path, monkeypatch):
+    doc = json.loads((SESSIONS / "c2_nonstable.session").read_text())
+    del doc["tasks"][1]["allow_unstable"]
+    p = tmp_path / "gated.session"
+    p.write_text(json.dumps(doc))
+    session = load_session(p)
+    before = [dataclasses.asdict(t) for t in session.tasks]
+    monkeypatch.setattr(cli, "load_session", lambda path: session)
+    res = _invoke(["report", p, "--allow-unstable"])
+    assert res.exit_code == 1
+    assert "FAIL coefficient sgn: t^1 = id at degree 0" in res.output
+    assert [dataclasses.asdict(t) for t in session.tasks] == before
+    # the same session object still gates without the override
+    res = _invoke(["report", p])
+    assert res.exit_code == 5
+    assert "task error: PrerequisiteFailed" in res.stderr
 
 
 def test_connes_mode_needs_characteristic_zero():

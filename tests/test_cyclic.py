@@ -1,8 +1,10 @@
-import os
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hopfcontra import cyclic
 from hopfcontra.ayd import (AydFlavour, build_trivial_coefficient,
                             dualize_ayd_module, one_dim_coefficient)
 from hopfcontra.cyclic import (build_cocyclic_complex, build_cyclic_complex,
@@ -20,6 +22,8 @@ from hopfcontra.reps import ModuleRep
 
 from oracles import frac_rank, group_tuple_orbits, homology_dim, intertwiner_dim
 from test_ayd import _sweedler_ayd_module
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _lr_trivial(h):
@@ -150,10 +154,39 @@ def test_not_equivariant_without_gate(h4):
 
 
 def test_dimension_cap(h4, monkeypatch):
+    # the cap is checked from shapes, before any diagonal power exists
     monkeypatch.setenv("HOPFCONTRA_DIM_CAP", "100")
-    with pytest.raises(DimensionCapExceeded):
-        build_cyclic_complex(build_named_module_coalgebra("regular", h4),
-                             _eval_at_group(h4, "lr"), max_degree=3)
+
+    def unreachable(*args):
+        raise AssertionError("diagonal_power ran before the cap check")
+
+    monkeypatch.setattr(cyclic, "diagonal_power", unreachable)
+    coalg = build_named_module_coalgebra("regular", h4)
+    coeff = _eval_at_group(h4, "lr")
+    for attempt in (lambda: build_cyclic_complex(coalg, coeff, max_degree=3),
+                    lambda: equivariant_hom_basis(coalg.action, coeff, 3)):
+        with pytest.raises(DimensionCapExceeded) as exc:
+            attempt()
+        assert str(exc.value) == "hom space dimension 256 exceeds the cap 100"
+
+
+def test_relation_names_match_golden(c2):
+    # verdict names and their order, pinned at degree 4 for both kinds
+    want = json.loads((GOLDEN / "relation_names_c2_degree4.json").read_text())
+    built = {
+        "cyclic": build_cyclic_complex(build_named_module_coalgebra("regular", c2),
+                                       _lr_trivial(c2), max_degree=4),
+        "cocyclic": build_cocyclic_complex(build_named_module_algebra("trivial", c2),
+                                           build_trivial_coefficient(
+                                               c2, AydFlavour.from_code("ll")),
+                                           max_degree=4),
+    }
+    for kind, cx in built.items():
+        rep = verify_cyclic_relations(cx)
+        assert rep.title == f"{kind} relations"
+        assert [v.name for v in rep.verdicts] == want[kind]
+        assert len(want[kind]) == 98
+        assert rep.ok, rep.failures()
 
 
 def test_hochschild_homology_golden(c2, trivial):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,27 @@ def test_field_kinds():
     assert F7.kind == "PrimeField" and F7.characteristic == 7
     with pytest.raises(ValueError):
         GF(6)
+
+
+def test_primality_is_exact_and_fast():
+    start = time.perf_counter()
+    assert GF(2 ** 61 - 1).characteristic == 2 ** 61 - 1
+    assert time.perf_counter() - start < 1.0
+    # a Carmichael number, strong pseudoprimes to the first 1, 4 and 9
+    # prime bases, and a neighbour of 2^61 - 1
+    for composite in (561, 2047, 3215031751, 3825123056546413051, 2 ** 61 + 1):
+        with pytest.raises(ValueError):
+            GF(composite)
+    for n in range(2, 2000):
+        prime = all(n % d for d in range(2, int(n ** 0.5) + 1))
+        try:
+            GF(n)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == prime, n
+    with pytest.raises(ValueError, match="too large"):
+        GF(10 ** 25)
 
 
 def test_coerce_round_trip():
