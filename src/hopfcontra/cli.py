@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import click
@@ -25,7 +26,7 @@ from .ayd import (AydCoefficient, AydModuleData, check_ayd_compatibility,
                   check_ayd_module, check_stability)
 from .cyclic import (build_cocyclic_complex, build_cyclic_complex,
                      check_module_algebra, check_module_coalgebra,
-                     homology_dims, verify_cyclic_relations)
+                     dim_cap, homology_dims, verify_cyclic_relations)
 from .errors import (HopfContraError, ParseError, TaskError, ValidationError)
 from .homconn import (build_ayd_coring, build_dga, check_coring, check_leibniz,
                       coring_contramodule_equivalence, curvature_and_flatness,
@@ -119,16 +120,17 @@ def _run_complex(session: SessionData, task: TaskSpec) -> Report:
     rep = Report(task.task)
     flavour = "lr" if kind == "cyclic" else "ll"
     for cid, coeff in _pick_coefficients(session, task, flavour=flavour):
-        key = (kind, cid, task.max_degree, task.allow_unstable)
-        if key not in session.complexes:
-            cx = _build(session, task, kind, coeff)
-            session.complexes[key] = (cx, verify_cyclic_relations(cx))
-        cx, relations = session.complexes[key]
-        rep.table(f"coefficient {cid}: equivariant dimensions", cx.dims)
-        rep.extend(relations, prefix=f"coefficient {cid}")
-        if task.task == "homology":
-            dims = homology_dims(cx, mode=task.mode)
-            rep.table(f"coefficient {cid}: {task.mode} homology dimensions", dims)
+        with _task_errors(coefficient=cid):
+            key = (kind, cid, task.max_degree, task.allow_unstable)
+            if key not in session.complexes:
+                cx = _build(session, task, kind, coeff)
+                session.complexes[key] = (cx, verify_cyclic_relations(cx))
+            cx, relations = session.complexes[key]
+            rep.table(f"coefficient {cid}: equivariant dimensions", cx.dims)
+            rep.extend(relations, prefix=f"coefficient {cid}")
+            if task.task == "homology":
+                dims = homology_dims(cx, mode=task.mode)
+                rep.table(f"coefficient {cid}: {task.mode} homology dimensions", dims)
     return rep
 
 
@@ -141,11 +143,12 @@ def _run_homconn(session: SessionData, task: TaskSpec) -> Report:
     rep.add("degree raising maps compose to zero", (dga.d1 @ dga.d0).is_zero())
     for cid, coeff in _pick_coefficients(session, task, flavour="rr"):
         prefix = f"coefficient {cid}"
-        rep.extend(coring_contramodule_equivalence(coring, coeff), prefix=prefix)
-        hc = hom_connection_from_contramodule(coeff, dga)
-        rep.extend(check_leibniz(hc), prefix=prefix)
-        _, flat = curvature_and_flatness(hc)
-        rep.extend(flat, prefix=prefix)
+        with _task_errors(coefficient=cid):
+            rep.extend(coring_contramodule_equivalence(coring, coeff), prefix=prefix)
+            hc = hom_connection_from_contramodule(coeff, dga)
+            rep.extend(check_leibniz(hc), prefix=prefix)
+            _, flat = curvature_and_flatness(hc)
+            rep.extend(flat, prefix=prefix)
     return rep
 
 
@@ -158,13 +161,21 @@ _RUNNERS = {
 }
 
 
-def _run_task(session: SessionData, task: TaskSpec) -> Report:
+@contextmanager
+def _task_errors(coefficient=None):
+    """Turn a module error into a TaskError naming its type and, when given,
+    the coefficient being worked on."""
     try:
-        return _RUNNERS[task.task](session, task)
+        yield
     except (ParseError, ValidationError, TaskError):
         raise
     except HopfContraError as e:
-        raise TaskError(f"{type(e).__name__}: {e}") from e
+        raise TaskError(f"{type(e).__name__}: {e}", coefficient=coefficient) from e
+
+
+def _run_task(session: SessionData, task: TaskSpec) -> Report:
+    with _task_errors():
+        return _RUNNERS[task.task](session, task)
 
 
 def _task_label(task: TaskSpec):
@@ -229,7 +240,10 @@ def _text_document(session: SessionData, results):
 
 
 def _load(session_path):
+    """The session, after the dimension cap in the environment; a bad value
+    of either is a validation error."""
     try:
+        dim_cap()
         return load_session(session_path)
     except ParseError as e:
         where = ""
@@ -253,12 +267,15 @@ def _execute(session_path, tasks, out, fmt, allow_unstable=False):
     if allow_unstable:
         tasks = [replace(t, allow_unstable=True) for t in tasks]
     results = []
-    try:
-        for task in tasks:
-            results.append((_task_label(task), _run_task(session, task)))
-    except TaskError as e:
-        click.echo(f"task error: {e}", err=True)
-        sys.exit(EXIT_TASK)
+    for k, task in enumerate(tasks, 1):
+        label = _task_label(task)
+        try:
+            results.append((label, _run_task(session, task)))
+        except TaskError as e:
+            if e.coefficient is not None and task.coefficient is None:
+                label += f" [{e.coefficient}]"
+            click.echo(f"task error: {e} (task {k}: {label})", err=True)
+            sys.exit(EXIT_TASK)
     document = _canonical_document(session, results)
     text = _text_document(session, results)
     canonical = _canonical_text(document)

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from .ayd import AydCoefficient, AydFlavour, ensure_coefficient_checked
 from .errors import (CharacteristicUnsupported, CompositionNotZero,
                      DimensionCapExceeded, NotEquivariant, PrerequisiteFailed,
-                     ShapeMismatch)
+                     ShapeMismatch, ValidationError)
 from .exactla import (Matrix, Subspace, hstack, kron, permute_cols,
                       permute_rows, quotient_projection, rank_kernel_image,
-                      rank_of, solve_columns, tensor_permutation_map)
+                      rank_of, solve_columns, sparse_kernel,
+                      tensor_permutation_map)
 from .exactla import homology_dims as _middle_homology
 from .hopf import AlgebraData, CoalgebraData, HopfData
 from .report import Report
@@ -34,9 +35,20 @@ from .reps import ModuleRep, check_module
 DEFAULT_DIM_CAP = 20000
 
 
-def _dim_cap():
+def dim_cap():
+    """The cap on ambient dimensions: HOPFCONTRA_DIM_CAP, a positive integer,
+    or DEFAULT_DIM_CAP when the variable is unset or empty."""
     raw = os.environ.get("HOPFCONTRA_DIM_CAP")
-    return int(raw) if raw else DEFAULT_DIM_CAP
+    if not raw:
+        return DEFAULT_DIM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValidationError(f"must be a positive integer, got {raw!r}",
+                              path="HOPFCONTRA_DIM_CAP")
+    return cap
 
 
 class ModuleCoalgebraData:
@@ -175,35 +187,64 @@ def check_module_algebra(a: ModuleAlgebraData) -> Report:
     return rep
 
 
-def diagonal_power(action: ModuleRep, k: int) -> ModuleRep:
-    """Diagonal action on the k-th tensor power; k = 0 is the counit action."""
+def diagonal_power(action: ModuleRep, k: int):
+    """Diagonal action on the k-th tensor power; k = 0 is the counit action.
+
+    Returns one list per Hopf basis element a: entry j is column j of the
+    operator of a on X^(x)k, as a {row: scalar} dict of its nonzero entries.
+    The power is built by the coproduct, one tensor leg at a time.
+    """
     h = action.hopf
-    F = action.field
+    p = action.field.p
     if k == 0:
-        mats = [Matrix.from_rows(F, [[h.counit.data[0][a]]]) for a in range(h.dim)]
-        return ModuleRep(h, "left", mats)
-    cur = action.matrices
+        return [[{0: e} if e else {}] for e in h.counit.data[0]]
+    first = [_sparse_columns(m) for m in action.matrices]
+    cur = first
     terms = h.coalgebra.comul_terms()
     for _ in range(k - 1):
+        size = len(cur[0])
         nxt = []
-        size = cur[0].rows
         for a in range(h.dim):
-            m = Matrix.zeros(F, action.dim * size, action.dim * size)
+            cols = [{} for _ in range(action.dim * size)]
             for (b, c, coeff) in terms[a]:
-                m = m + kron(action.matrices[b], cur[c]).scale(coeff)
-            nxt.append(m)
+                for j1, col1 in enumerate(first[b]):
+                    for j2, col2 in enumerate(cur[c]):
+                        out = cols[j1 * size + j2]
+                        for i1, v1 in col1.items():
+                            base, v1 = i1 * size, coeff * v1
+                            for i2, v2 in col2.items():
+                                out[base + i2] = out.get(base + i2, 0) + v1 * v2
+            nxt.append([_nonzero(col, p) for col in cols])
         cur = nxt
-    return ModuleRep(h, "left", cur)
+    return cur
+
+
+def _sparse_columns(m: Matrix):
+    return [{i: v for i, row in enumerate(m.data) if (v := row[j])} for j in range(m.cols)]
+
+
+def _nonzero(entries, p):
+    """The nonzero entries of a {index: scalar} dict, reduced mod p over GF(p)."""
+    if p is not None:
+        entries = {i: v % p for i, v in entries.items()}
+    return {i: v for i, v in entries.items() if v}
 
 
 @dataclass(frozen=True)
 class EquivariantBasis:
-    """Basis of the H-linear maps inside Hom(X, M) at one degree."""
+    """Basis of the H-linear maps inside Hom(X, M) at one degree.
+
+    The basis is the identity on the ambient coordinates `free`, and the
+    rows of `rref` (sparse {coordinate: scalar} dicts) are the reduced row
+    echelon form of the H-linearity constraints, so they span them.
+    """
 
     degree: int
     source_dim: int
     coeff_dim: int
     space: Subspace
+    free: tuple
+    rref: tuple
 
     @property
     def dim(self):
@@ -215,43 +256,43 @@ class EquivariantBasis:
 
 
 def _check_cap(ambient):
-    cap = _dim_cap()
+    cap = dim_cap()
     if ambient > cap:
         raise DimensionCapExceeded(
             f"hom space dimension {ambient} exceeds the cap {cap}")
 
 
 def equivariant_hom_basis(x: ModuleRep, m: AydCoefficient, n: int) -> EquivariantBasis:
-    """Basis of Hom_H(X^(x)(n+1), M), cut out degree by degree.
+    """Basis of Hom_H(X^(x)(n+1), M), from one reduced echelon pass.
 
-    The intertwiner constraints are imposed one Hopf basis element at a
-    time, shrinking the candidate basis at each step; this keeps every
-    elimination at most ambient-size wide.  The coefficient is not checked
+    For every Hopf basis element a, the map f (flat coordinate j*dim M + i
+    holds f[i][j]) must satisfy f D_a = A_a f, where D_a acts diagonally on
+    X^(x)(n+1) and A_a on M.  Constraint row (j, i) of
+    kron(D_a^T, I_M) - kron(I_X, A_a) is written straight from the sparse
+    columns of D_a and the entries of A_a.  The coefficient is not checked
     here: the builders gate on it first.
     """
     if x.side != "left" or m.flavour.module_side != "left":
         raise ShapeMismatch("equivariance here means left-linear maps")
     _check_cap(x.dim ** (n + 1) * m.dim)
     F = x.field
+    p = F.p
     dM = m.dim
-    diag = diagonal_power(x, n + 1)
-    dX = diag.dim
-    ambient = dX * dM
-    I_x = Matrix.identity(F, dX)
-    I_m = Matrix.identity(F, dM)
-    basis = Matrix.identity(F, ambient)
-    for a in range(m.hopf.dim):
-        con = kron(diag.matrices[a].transpose(), I_m) - kron(I_x, m.action.matrices[a])
-        if con.is_zero():
-            continue
-        reduced = con @ basis
-        if reduced.is_zero():
-            continue
-        _, ker, _ = rank_kernel_image(reduced)
-        basis = basis @ ker.basis
-        if basis.cols == 0:
-            break
-    return EquivariantBasis(n, dX, dM, Subspace(ambient, basis))
+    power = diagonal_power(x, n + 1)
+    dX = len(power[0])
+    rows = []
+    for cols, act in zip(power, m.action.matrices):
+        for j, col in enumerate(cols):
+            for i, arow in enumerate(act.data):
+                row = {k * dM + i: v for k, v in col.items()}
+                for l, w in enumerate(arow):
+                    if w:
+                        row[j * dM + l] = row.get(j * dM + l, 0) - w
+                row = _nonzero(row, p)
+                if row:
+                    rows.append(row)
+    rref, free, basis = sparse_kernel(F, rows, dX * dM)
+    return EquivariantBasis(n, dX, dM, Subspace(dX * dM, basis), tuple(free), tuple(rref))
 
 
 def _hom_precompose(g: Matrix, dm: int) -> Matrix:
@@ -268,10 +309,23 @@ def _alpha_route(alpha: Matrix, w: Matrix, dh: int, dxp: int, dm: int) -> Matrix
 
 
 def _restrict(name: str, op: Matrix, src: EquivariantBasis, dst: EquivariantBasis) -> Matrix:
-    sol = solve_columns(dst.space.basis, op @ src.space.basis)
-    if sol is None:
-        raise NotEquivariant(f"{name} does not preserve the equivariant subspaces")
-    return sol
+    """op re-expressed in the bases of src and dst.
+
+    Y = op @ src.basis lies in dst's subspace exactly when every constraint
+    row of dst annihilates it; its coordinates are then its rows at dst's
+    free coordinates, where dst's basis is the identity.
+    """
+    y = op @ src.space.basis
+    p = y.field.p
+    for row in dst.rref:
+        acc = [0] * y.cols
+        for c, v in row.items():
+            for k, w in enumerate(y.data[c]):
+                if w:
+                    acc[k] += v * w
+        if any(a % p if p is not None else a for a in acc):
+            raise NotEquivariant(f"{name} does not preserve the equivariant subspaces")
+    return Matrix(y.field, len(dst.free), y.cols, [y.data[c] for c in dst.free])
 
 
 @dataclass
@@ -633,9 +687,10 @@ def tensor_over_H(n, x: ModuleRep) -> QuotientData:
     h = x.hopf
     dn, dx = right.dim, x.dim
     ambient = dn * dx
-    if ambient > _dim_cap():
+    cap = dim_cap()
+    if ambient > cap:
         raise DimensionCapExceeded(
-            f"tensor product dimension {ambient} exceeds the cap {_dim_cap()}")
+            f"tensor product dimension {ambient} exceeds the cap {cap}")
     I_n = Matrix.identity(F, dn)
     I_x = Matrix.identity(F, dx)
     blocks = []

@@ -75,4 +75,9 @@ class ValidationError(HopfContraError):
 
 
 class TaskError(HopfContraError):
-    """A task failed while running; wraps the underlying module error."""
+    """A task failed while running; wraps the underlying module error and
+    carries the id of the coefficient it was working on, when known."""
+
+    def __init__(self, message, coefficient=None):
+        super().__init__(message)
+        self.coefficient = coefficient

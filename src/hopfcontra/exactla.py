@@ -1,7 +1,13 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
 Scalars are `fractions.Fraction` over the rationals and least nonnegative
 residues (plain ints) over GF(p).  No floating point anywhere.
+
+`Matrix` stores its entries densely, and its elimination (fraction-free
+Bareiss over the rationals, plain row reduction mod p) works on dense
+copies.  Systems that are almost all zeros, like the H-linearity
+constraints of an equivariant hom space, go to `sparse_kernel` instead,
+which keeps its rows as {column: scalar} dicts.
 
 Basis conventions, fixed once and used by every other module:
 
@@ -597,6 +603,65 @@ def rank_kernel_image(m: Matrix):
 def rank_of(m: Matrix) -> int:
     _, pivots = _echelon(m)
     return len(pivots)
+
+
+def sparse_kernel(field, rows, ncols):
+    """Reduced row echelon form of sparse rows, and the kernel it fixes.
+
+    Each row is a {column: scalar} dict of nonzero field scalars.  Rows are
+    taken one at a time against a fully reduced pivot set: a new row loses
+    its entries at the pivot columns, takes its leftmost remaining column as
+    pivot (scaled to one), and that column is cleared from the earlier pivot
+    rows.  The pivot rows are then the unique reduced row echelon form of
+    the input, whatever the row order, so the free columns are the non-pivot
+    columns of rank_kernel_image and the kernel equals its kernel.
+
+    Returns (rref, free, kernel): rref lists the pivot rows by pivot column,
+    free lists the other columns in increasing order, and kernel is the
+    dense ncols x len(free) basis that is the identity on the free columns
+    and minus the rref entries at the pivot columns.
+    """
+    p = field.p
+    pivots = {}
+    for given in rows:
+        row = dict(given)
+        for c in [c for c in row if c in pivots]:
+            _axpy(row, -row.pop(c), pivots[c], c, p)
+        if not row:
+            continue
+        c = min(row)
+        inv = field.invert(row[c])
+        row = {j: v * inv if p is None else v * inv % p for j, v in row.items()}
+        for prow in pivots.values():
+            if c in prow:
+                _axpy(prow, -prow.pop(c), row, c, p)
+        pivots[c] = row
+    free = [c for c in range(ncols) if c not in pivots]
+    index = {c: k for k, c in enumerate(free)}
+    data = [[field.zero] * len(free) for _ in range(ncols)]
+    for k, c in enumerate(free):
+        data[c][k] = field.one
+    for c, prow in pivots.items():
+        out = data[c]
+        for j, v in prow.items():
+            if j != c:
+                out[index[j]] = -v if p is None else -v % p
+    rref = [pivots[c] for c in sorted(pivots)]
+    return rref, free, Matrix(field, ncols, len(free), data)
+
+
+def _axpy(row, factor, other, skip, p):
+    """row += factor * other in place, leaving out column `skip`; zeros drop."""
+    for j, v in other.items():
+        if j == skip:
+            continue
+        w = row.get(j, 0) + factor * v
+        if p is not None:
+            w %= p
+        if w:
+            row[j] = w
+        else:
+            row.pop(j, None)
 
 
 def solve_columns(a: Matrix, b: Matrix):

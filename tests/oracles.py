@@ -106,6 +106,42 @@ def intertwiner_dim(x_ops, m_ops, p=None):
     return n_unknowns - r
 
 
+def diagonal_power(x_ops, comul, k):
+    """Raw entries of the diagonal action on the k-th tensor power, k >= 1.
+
+    x_ops[a] is the row-major operator of Hopf basis element a on X, and
+    comul the row-major (d*d) x d coproduct: entry [b*d + c][a] is the
+    coefficient of b (x) c in Delta(a).  Each power adds up, entry by entry,
+    those coefficients times the Kronecker products of x_ops[b] with the
+    previous power of c.
+    """
+    d = len(x_ops)
+    cur = x_ops
+    for _ in range(k - 1):
+        s = len(cur[0])
+        size = len(x_ops[0]) * s
+        nxt = []
+        for a in range(d):
+            acc = [[0] * size for _ in range(size)]
+            for b in range(d):
+                for c in range(d):
+                    coeff = comul[b * d + c][a]
+                    if not coeff:
+                        continue
+                    for i1, row1 in enumerate(x_ops[b]):
+                        for j1, x in enumerate(row1):
+                            if not x:
+                                continue
+                            for i2, row2 in enumerate(cur[c]):
+                                out = acc[i1 * s + i2]
+                                for j2, y in enumerate(row2):
+                                    if y:
+                                        out[j1 * s + j2] += coeff * x * y
+            nxt.append(acc)
+        cur = nxt
+    return cur
+
+
 def group_tuple_orbits(order, length):
     """Orbits of the diagonal shift action of Z/order on index tuples."""
     seen = set()

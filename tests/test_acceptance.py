@@ -19,7 +19,7 @@ from hopfcontra.ayd import (AydFlavour, build_trivial_coefficient,
 from hopfcontra.cli import main
 from hopfcontra.cyclic import (build_cocyclic_complex, build_cyclic_complex,
                                build_named_module_algebra,
-                               build_named_module_coalgebra, diagonal_power,
+                               build_named_module_coalgebra,
                                equivariant_hom_basis, hom_bimodule_actions,
                                homology_dims, tensor_over_H,
                                verify_cyclic_relations)
@@ -33,6 +33,7 @@ from hopfcontra.session import load_session
 
 from oracles import group_tuple_orbits, homology_dim, intertwiner_dim
 from test_ayd import _sweedler_ayd_module
+from test_cyclic import _power_module, _raw_power
 from test_hopf import _mutated_copy
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
@@ -171,8 +172,7 @@ def test_c07_dimension_law_against_independent_oracles(c2, h4):
     for h, coalg, coeff, dims, top in ((c2, coalg2, triv, dims2, 4),
                                        (h4, coalg4, evg, dims4, 3)):
         for n in range(top):
-            diag = diagonal_power(coalg.action, n + 1)
-            x_ops = [m.data for m in diag.matrices]
+            x_ops = _raw_power(coalg.action, n + 1)
             m_ops = [m.data for m in coeff.action.matrices]
             assert intertwiner_dim(x_ops, m_ops) == dims[n]
 
@@ -187,7 +187,7 @@ def test_c08_hom_into_dual_matches_tensor_quotient(c2, h4):
                                       ndual.action.matrices))
     coalg = session.module_coalgebra
     for n in range(4):
-        diag = diagonal_power(coalg.action, n + 1)
+        diag = _power_module(coalg.action, n + 1)
         hom_dim = equivariant_hom_basis(coalg.action, ndual, n).dim
         assert tensor_over_H(module, diag).dim == hom_dim, n
     coalg2 = build_named_module_coalgebra("regular", c2)
@@ -195,7 +195,7 @@ def test_c08_hom_into_dual_matches_tensor_quotient(c2, h4):
     trivial_right = ModuleRep(c2, "right", [one, one])
     coeff = build_trivial_coefficient(c2, LR)
     for n in range(4):
-        diag = diagonal_power(coalg2.action, n + 1)
+        diag = _power_module(coalg2.action, n + 1)
         hom_dim = equivariant_hom_basis(coalg2.action, coeff, n).dim
         assert tensor_over_H(trivial_right, diag).dim == hom_dim, n
 

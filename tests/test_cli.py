@@ -166,6 +166,49 @@ def test_allow_unstable_leaves_session_tasks_unchanged(tmp_path, monkeypatch):
     assert "task error: PrerequisiteFailed" in res.stderr
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_bad_dimension_cap_is_a_validation_error(raw, monkeypatch):
+    monkeypatch.setenv("HOPFCONTRA_DIM_CAP", raw)
+    for command in ("check", "report"):
+        res = _invoke([command, SESSIONS / "c2_trivial.session"])
+        assert res.exit_code == 4, (command, res.output)
+        assert res.stderr == ("validation error at HOPFCONTRA_DIM_CAP: "
+                              f"must be a positive integer, got {raw!r}\n")
+
+
+def test_dimension_cap_from_the_environment(monkeypatch):
+    monkeypatch.setenv("HOPFCONTRA_DIM_CAP", "10")
+    res = _invoke(["report", SESSIONS / "c2_trivial.session"])
+    assert res.exit_code == 5
+    assert res.stderr == ("task error: DimensionCapExceeded: hom space dimension 16 "
+                          "exceeds the cap 10 (task 2: build-cyclic [k])\n")
+    monkeypatch.setenv("HOPFCONTRA_DIM_CAP", "")
+    assert _invoke(["report", SESSIONS / "c2_trivial.session"]).exit_code == 0
+
+
+def test_task_errors_name_task_and_coefficient(tmp_path):
+    # the session names its coefficient: the label carries it
+    doc = json.loads((SESSIONS / "c2_nonstable.session").read_text())
+    del doc["tasks"][1]["allow_unstable"]
+    p = tmp_path / "gated.session"
+    p.write_text(json.dumps(doc))
+    res = _invoke(["report", p])
+    assert res.exit_code == 5
+    assert res.stderr.startswith("task error: PrerequisiteFailed: ")
+    assert res.stderr.endswith(" (task 2: build-cyclic [sgn])\n")
+    # a subcommand runs every coefficient: the failing one is named
+    res = _invoke(["build-cyclic", SESSIONS / "c2_nonstable.session"])
+    assert res.exit_code == 5
+    assert res.stderr.endswith(" (task 1: build-cyclic [sgn])\n")
+    res = _invoke(["homology", SESSIONS / "sweedler_gf7.session", "--mode", "connes"])
+    assert res.stderr == ("task error: CharacteristicUnsupported: the cyclic quotient "
+                          "needs characteristic zero (task 1: homology [c0])\n")
+    # errors outside any coefficient keep the bare label
+    res = _invoke(["homconn", SESSIONS / "c2_trivial.session"])
+    assert res.stderr == ("task error: session has no rr contramodule coefficient "
+                          "(task 1: homconn)\n")
+
+
 def test_connes_mode_needs_characteristic_zero():
     res = _invoke(["homology", SESSIONS / "sweedler_gf7.session",
                    "--mode", "connes"])

@@ -20,7 +20,8 @@ from hopfcontra.errors import (CharacteristicUnsupported, DimensionCapExceeded,
 from hopfcontra.exactla import QQ, Matrix
 from hopfcontra.reps import ModuleRep
 
-from oracles import frac_rank, group_tuple_orbits, homology_dim, intertwiner_dim
+from oracles import (diagonal_power as raw_diagonal_power, frac_rank,
+                     group_tuple_orbits, homology_dim, intertwiner_dim)
 from test_ayd import _sweedler_ayd_module
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -34,6 +35,36 @@ def _eval_at_group(h, code):
     one, zero = h.field.one, h.field.zero
     return one_dim_coefficient(h, AydFlavour.from_code(code),
                                [one, one, zero, zero], [zero, one, zero, zero])
+
+
+def _raw_power(action, k):
+    """Dense entries of the diagonal action on X^(x)k, from the oracle."""
+    return raw_diagonal_power([m.data for m in action.matrices],
+                              action.hopf.coalgebra.comul.data, k)
+
+
+def _power_module(action, k):
+    """The diagonal action on X^(x)k as a ModuleRep, from the oracle."""
+    return ModuleRep(action.hopf, "left",
+                     [Matrix.from_rows(action.field, rows) for rows in _raw_power(action, k)])
+
+
+def test_diagonal_power_matches_raw_entries(c2, h4, h4_gf7):
+    for h, top in ((c2, 4), (h4, 3), (h4_gf7, 3)):
+        action = build_named_module_coalgebra("regular", h).action
+        p = h.field.p
+        counit = diagonal_power(action, 0)
+        assert counit == [[{0: e} if e else {}] for e in h.counit.data[0]]
+        for k in range(1, top + 1):
+            want = _raw_power(action, k)
+            got = diagonal_power(action, k)
+            assert len(got) == h.dim
+            for cols, rows in zip(got, want):
+                dense = [[v if p is None else v % p for v in row] for row in rows]
+                assert len(cols) == len(dense)
+                for j, col in enumerate(cols):
+                    assert all(v for v in col.values())
+                    assert col == {i: row[j] for i, row in enumerate(dense) if row[j]}
 
 
 def test_named_structures(c2, h4):
@@ -62,8 +93,7 @@ def test_dimension_law_c2(c2):
     assert expected == [group_tuple_orbits(2, n + 1) for n in range(4)]
     # brute force intertwiner solve over raw entries
     for n in range(4):
-        diag = diagonal_power(coalg.action, n + 1)
-        x_ops = [m.data for m in diag.matrices]
+        x_ops = _raw_power(coalg.action, n + 1)
         m_ops = [m.data for m in coeff.action.matrices]
         assert intertwiner_dim(x_ops, m_ops) == expected[n]
 
@@ -78,8 +108,7 @@ def test_dimension_law_sweedler(h4):
     assert dims == [1, 4, 16]
     assert dims == [4 ** n for n in range(3)]
     for n in range(3):
-        diag = diagonal_power(coalg.action, n + 1)
-        x_ops = [m.data for m in diag.matrices]
+        x_ops = _raw_power(coalg.action, n + 1)
         m_ops = [m.data for m in coeff.action.matrices]
         assert intertwiner_dim(x_ops, m_ops) == dims[n]
 
@@ -271,7 +300,7 @@ def test_duality_of_dimensions(c2, h4):
     dual = dualize_ayd_module(module)
     coalg = build_named_module_coalgebra("regular", h4)
     for n in range(4):
-        diag = diagonal_power(coalg.action, n + 1)
+        diag = _power_module(coalg.action, n + 1)
         hom_dim = equivariant_hom_basis(coalg.action, dual, n).dim
         assert tensor_over_H(module, diag).dim == hom_dim, n
     # over the group algebra with the trivial pairing
@@ -280,7 +309,7 @@ def test_duality_of_dimensions(c2, h4):
     trivial_right = ModuleRep(c2, "right", [one, one])
     coeff = _lr_trivial(c2)
     for n in range(4):
-        diag = diagonal_power(coalg2.action, n + 1)
+        diag = _power_module(coalg2.action, n + 1)
         hom_dim = equivariant_hom_basis(coalg2.action, coeff, n).dim
         assert tensor_over_H(trivial_right, diag).dim == hom_dim, n
 
@@ -290,7 +319,7 @@ def test_tensor_quotient_against_rank_oracle(c2):
     trivial_right = ModuleRep(c2, "right", [one, one])
     coalg = build_named_module_coalgebra("regular", c2)
     for n in range(3):
-        diag = diagonal_power(coalg.action, n + 1)
+        diag = _power_module(coalg.action, n + 1)
         q = tensor_over_H(trivial_right, diag)
         dx = diag.matrices[0].rows
         rows = []

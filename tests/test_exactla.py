@@ -9,8 +9,9 @@ from hopfcontra.errors import (CompositionNotZero, FieldMismatch, ShapeMismatch,
 from hopfcontra.exactla import (GF, QQ, Matrix, homology_dims, hstack,
                                 inverse, kron, permute_cols, permute_rows,
                                 quotient_projection, rank_kernel_image, rank_of,
-                                solve_columns, tensor_permutation,
-                                tensor_permutation_map, vstack)
+                                solve_columns, sparse_kernel,
+                                tensor_permutation, tensor_permutation_map,
+                                vstack)
 
 from oracles import frac_rank, modp_rank, rank_of as oracle_rank
 
@@ -241,3 +242,35 @@ def test_quotient_projection():
 def test_rank_of_agrees_both_fields(data):
     m = data.draw(gf_matrices(data.draw(dims), data.draw(dims)))
     assert rank_of(m) == oracle_rank(m)
+
+
+# mostly zero small integers, the shape of H-linearity constraints
+sparse_ints = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+
+
+def _entry_reprs(m):
+    return [[repr(v) for v in row] for row in m.data]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.data())
+def test_sparse_kernel_is_the_rank_kernel_image_kernel(r, c, data):
+    ints = data.draw(st.lists(st.lists(sparse_ints, min_size=c, max_size=c),
+                              min_size=r, max_size=r))
+    order = data.draw(st.permutations(range(r)))
+    kernel_dims = {}
+    for field in (QQ, F7):
+        m = Matrix.from_rows(field, ints)
+        rows = [{j: v for j, v in enumerate(m.data[i]) if v} for i in order]
+        rref, free, kernel = sparse_kernel(field, rows, c)
+        _, want, _ = rank_kernel_image(m)
+        assert _entry_reprs(kernel) == _entry_reprs(want.basis)
+        # reduced echelon: a leading one, zero at every other pivot column
+        pivots = [min(row) for row in rref]
+        assert pivots == sorted(pivots)
+        assert sorted(pivots + free) == list(range(c))
+        for pc, row in zip(pivots, rref):
+            assert row[pc] == field.one
+            assert not any(q in row for q in pivots if q != pc)
+        kernel_dims[field] = kernel.cols
+    assert kernel_dims[F7] >= kernel_dims[QQ]
