@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 from .ayd import AydCoefficient, AydFlavour, ensure_coefficient_checked
 from .errors import (CharacteristicUnsupported, CompositionNotZero,
@@ -395,8 +396,13 @@ def _build_complex(kind, flavour, data, check, g, e, m, N, allow_unstable, requi
     x = data.action
     F = x.field
     dh, dx, dm = x.hopf.dim, x.dim, m.dim
-    for n in range(N + 1):
+    # the ambient dimension grows with the degree, and stays dm when dx is 1
+    for n in range(N + 1 if dx > 1 else 1):
         _check_cap(dx ** (n + 1) * dm)
+    cap = dim_cap()
+    if sum(1 for _ in islice(_relation_table(N), cap + 1)) > cap:
+        raise DimensionCapExceeded(
+            f"the {kind} relations up to degree {N} number more than the cap {cap}")
     alpha = m.alpha.alpha
     act_flat = x.action_matrix()
     bases = [equivariant_hom_basis(x, m, n) for n in range(N + 1)]
@@ -693,15 +699,7 @@ def tensor_over_H(n, x: ModuleRep) -> QuotientData:
             f"tensor product dimension {ambient} exceeds the cap {cap}")
     I_n = Matrix.identity(F, dn)
     I_x = Matrix.identity(F, dx)
-    blocks = []
-    for a in range(h.dim):
-        block = kron(right.matrices[a], I_x) - kron(I_n, x.matrices[a])
-        if not block.is_zero():
-            blocks.append(block)
-    if not blocks:
-        qdim, proj, lift = quotient_projection(Matrix.zeros(F, ambient, 0))
-        return QuotientData(ambient, qdim, proj, lift)
-    rel = hstack(blocks)
-    _, _, img = rank_kernel_image(rel)
-    qdim, proj, lift = quotient_projection(img.basis)
+    rel = hstack([kron(right.matrices[a], I_x) - kron(I_n, x.matrices[a])
+                  for a in range(h.dim)])
+    qdim, proj, lift = quotient_projection(rel)
     return QuotientData(ambient, qdim, proj, lift)

@@ -3,11 +3,12 @@
 Scalars are `fractions.Fraction` over the rationals and least nonnegative
 residues (plain ints) over GF(p).  No floating point anywhere.
 
-`Matrix` stores its entries densely, and its elimination (fraction-free
-Bareiss over the rationals, plain row reduction mod p) works on dense
-copies.  Systems that are almost all zeros, like the H-linearity
-constraints of an equivariant hom space, go to `sparse_kernel` instead,
-which keeps its rows as {column: scalar} dicts.
+`Matrix` stores its entries densely.  There is one elimination: the
+reduced row echelon form of {column: scalar} rows behind `sparse_kernel`.
+Ranks, kernels, images, solves, inverses and quotient projections all read
+their results off it, and systems that are almost all zeros, like the
+H-linearity constraints of an equivariant hom space, are written to it as
+sparse rows directly.
 
 Basis conventions, fixed once and used by every other module:
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import (
     CompositionNotZero,
@@ -192,12 +192,6 @@ class Matrix:
     @classmethod
     def row(cls, field, values):
         return cls(field, 1, len(values), [[field.coerce(v) for v in values]])
-
-    @classmethod
-    def basis_column(cls, field, n, i):
-        m = cls.zeros(field, n, 1)
-        m.data[i][0] = field.one
-        return m
 
     # -- basic queries ------------------------------------------------
 
@@ -442,184 +436,21 @@ class Subspace:
 
 
 # -- elimination ------------------------------------------------------
+#
+# Every rank, kernel, solve and quotient below comes from one reduced row
+# echelon form of sparse {column: scalar} rows.  That form is unique, so
+# pivot columns, the kernel that is the identity on the free columns, the
+# solution of a @ X = b and the projection onto a fixed complement do not
+# depend on the order in which rows arrive.
 
-def _integerize_rows(data):
-    """Scale each row of a Fraction matrix to coprime integers (row ops only)."""
-    out = []
-    for row in data:
-        mult = 1
-        for v in row:
-            if v:
-                mult = lcm(mult, v.denominator)
-        ints = [int(v * mult) for v in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
-
-
-def _echelon_int(rows, ncols):
-    """Fraction-free (Bareiss) row echelon on integer rows, in place.
-
-    Returns the pivot column list; after the call rows[r] is the echelon row
-    with pivot at pivots[r].  Division-free pivoting prefers small pivots so
-    entries stay near machine size on the sparse systems we feed it.
-    """
-    pivots = []
-    prev = 1
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        best = -1
-        best_abs = None
-        for i in range(r, nrows):
-            v = rows[i][c]
-            if v:
-                a = -v if v < 0 else v
-                if best_abs is None or a < best_abs:
-                    best, best_abs = i, a
-                    if a == 1:
-                        break
-        if best < 0:
-            continue
-        if best != r:
-            rows[r], rows[best] = rows[best], rows[r]
-        pr = rows[r]
-        pv = pr[c]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            vic = ri[c]
-            if vic:
-                for j in range(c + 1, ncols):
-                    ri[j] = (ri[j] * pv - vic * pr[j]) // prev
-                ri[c] = 0
-            elif pv != prev:
-                # Bareiss update with a zero multiplier is a pure rescale
-                if pv == -prev:
-                    for j in range(c + 1, ncols):
-                        if ri[j]:
-                            ri[j] = -ri[j]
-                else:
-                    for j in range(c + 1, ncols):
-                        if ri[j]:
-                            ri[j] = ri[j] * pv // prev
-        prev = pv
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _echelon_gf(rows, ncols, p):
-    """Naive row echelon mod p, in place; returns pivot columns."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        inv = pow(pr[c], -1, p)
-        for j in range(c, ncols):
-            pr[j] = pr[j] * inv % p
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            vic = ri[c]
-            if vic:
-                for j in range(c, ncols):
-                    ri[j] = (ri[j] - vic * pr[j]) % p
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _echelon(m: Matrix):
-    """Row echelon copy of m; returns (rows, pivot column list)."""
-    if m.field.p is None:
-        rows = _integerize_rows(m.data)
-        pivots = _echelon_int(rows, m.cols)
-    else:
-        rows = [row[:] for row in m.data]
-        pivots = _echelon_gf(rows, m.cols, m.field.p)
-    return rows, pivots
-
-
-def _kernel_from_echelon(field, rows, pivots, ncols) -> Matrix:
-    """Kernel basis by back-substitution; one column per free column."""
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    rank = len(pivots)
-    cols = []
-    for fc in free:
-        x = [field.zero] * ncols
-        x[fc] = field.one
-        for r in range(rank - 1, -1, -1):
-            pc = pivots[r]
-            if pc > fc:
-                continue
-            acc = field.zero
-            row = rows[r]
-            for j in range(pc + 1, ncols):
-                if row[j] and x[j]:
-                    acc += field.coerce(row[j]) * x[j]
-            if acc:
-                x[pc] = field.coerce(-acc / field.coerce(row[pc])
-                                     if field.p is None
-                                     else -acc * field.invert(row[pc]))
-            else:
-                x[pc] = field.zero
-        cols.append(x)
-    data = [[cols[k][i] for k in range(len(free))] for i in range(ncols)]
-    return Matrix(field, ncols, len(free), data)
-
-
-def rank_kernel_image(m: Matrix):
-    """Exact rank, kernel basis, and image basis of a matrix.
-
-    rank + dim kernel = cols always; kernel vectors satisfy m @ v = 0
-    exactly; the image basis is the pivot columns of m itself.
-    """
-    rows, pivots = _echelon(m)
-    rank = len(pivots)
-    kernel = Subspace(m.cols, _kernel_from_echelon(m.field, rows, pivots, m.cols))
-    img_data = [[m.data[i][c] for c in pivots] for i in range(m.rows)]
-    image = Subspace(m.rows, Matrix(m.field, m.rows, rank, img_data))
-    return rank, kernel, image
-
-
-def rank_of(m: Matrix) -> int:
-    _, pivots = _echelon(m)
-    return len(pivots)
-
-
-def sparse_kernel(field, rows, ncols):
-    """Reduced row echelon form of sparse rows, and the kernel it fixes.
+def _rref(field, rows):
+    """Reduced row echelon form of sparse rows, as {pivot column: row}.
 
     Each row is a {column: scalar} dict of nonzero field scalars.  Rows are
     taken one at a time against a fully reduced pivot set: a new row loses
     its entries at the pivot columns, takes its leftmost remaining column as
     pivot (scaled to one), and that column is cleared from the earlier pivot
-    rows.  The pivot rows are then the unique reduced row echelon form of
-    the input, whatever the row order, so the free columns are the non-pivot
-    columns of rank_kernel_image and the kernel equals its kernel.
-
-    Returns (rref, free, kernel): rref lists the pivot rows by pivot column,
-    free lists the other columns in increasing order, and kernel is the
-    dense ncols x len(free) basis that is the identity on the free columns
-    and minus the rref entries at the pivot columns.
+    rows.
     """
     p = field.p
     pivots = {}
@@ -636,18 +467,7 @@ def sparse_kernel(field, rows, ncols):
             if c in prow:
                 _axpy(prow, -prow.pop(c), row, c, p)
         pivots[c] = row
-    free = [c for c in range(ncols) if c not in pivots]
-    index = {c: k for k, c in enumerate(free)}
-    data = [[field.zero] * len(free) for _ in range(ncols)]
-    for k, c in enumerate(free):
-        data[c][k] = field.one
-    for c, prow in pivots.items():
-        out = data[c]
-        for j, v in prow.items():
-            if j != c:
-                out[index[j]] = -v if p is None else -v % p
-    rref = [pivots[c] for c in sorted(pivots)]
-    return rref, free, Matrix(field, ncols, len(free), data)
+    return pivots
 
 
 def _axpy(row, factor, other, skip, p):
@@ -664,40 +484,70 @@ def _axpy(row, factor, other, skip, p):
             row.pop(j, None)
 
 
+def _rows_of(m: Matrix):
+    return [{j: v for j, v in enumerate(row) if v} for row in m.data]
+
+
+def sparse_kernel(field, rows, ncols):
+    """Reduced row echelon form of sparse rows, and the kernel it fixes.
+
+    Returns (rref, free, kernel): rref lists the pivot rows by pivot column,
+    free lists the other columns in increasing order, and kernel is the
+    dense ncols x len(free) basis that is the identity on the free columns
+    and minus the rref entries at the pivot columns.
+    """
+    p = field.p
+    pivots = _rref(field, rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    index = {c: k for k, c in enumerate(free)}
+    data = [[field.zero] * len(free) for _ in range(ncols)]
+    for k, c in enumerate(free):
+        data[c][k] = field.one
+    for c, prow in pivots.items():
+        out = data[c]
+        for j, v in prow.items():
+            if j != c:
+                out[index[j]] = -v if p is None else -v % p
+    rref = [pivots[c] for c in sorted(pivots)]
+    return rref, free, Matrix(field, ncols, len(free), data)
+
+
+def rank_kernel_image(m: Matrix):
+    """Exact rank, kernel basis, and image basis of a matrix.
+
+    rank + dim kernel = cols always; the kernel basis is the identity on
+    the free columns; the image basis is the pivot columns of m itself.
+    """
+    rref, _, kernel = sparse_kernel(m.field, _rows_of(m), m.cols)
+    pivots = [min(row) for row in rref]
+    img_data = [[row[c] for c in pivots] for row in m.data]
+    image = Subspace(m.rows, Matrix(m.field, m.rows, len(pivots), img_data))
+    return len(rref), Subspace(m.cols, kernel), image
+
+
+def rank_of(m: Matrix) -> int:
+    return len(_rref(m.field, _rows_of(m)))
+
+
 def solve_columns(a: Matrix, b: Matrix):
     """Solve a @ X = b for X, or return None when inconsistent.
 
     Requires the columns of `a` to be linearly independent, which makes any
     solution unique; this is how operators get re-expressed in subspace bases.
+    X is read off the reduced row echelon form of [a | b].
     """
     a._check_same_field(b)
     if a.rows != b.rows:
         raise ShapeMismatch(f"{a.shape} vs {b.shape}")
-    aug = hstack([a, b])
-    rows, pivots = _echelon(aug)
-    if any(c >= a.cols for c in pivots):
-        return None
-    if len(pivots) != a.cols:
-        raise Singular("coefficient columns are dependent; solution not unique")
-    field = a.field
     n = a.cols
-    xcols = []
-    for k in range(b.cols):
-        bc = a.cols + k
-        x = [field.zero] * n
-        for r in range(n - 1, -1, -1):
-            row = rows[r]
-            pc = pivots[r]
-            acc = field.coerce(row[bc])
-            for j in range(pc + 1, n):
-                if row[j] and x[j]:
-                    acc -= field.coerce(row[j]) * x[j]
-            if acc:
-                x[pc] = (acc / field.coerce(row[pc])) if field.p is None \
-                    else acc * field.invert(row[pc]) % field.p
-        xcols.append(x)
-    data = [[xcols[k][i] for k in range(b.cols)] for i in range(n)]
-    return Matrix(field, n, b.cols, data)
+    pivots = _rref(a.field, _rows_of(hstack([a, b])))
+    if any(c >= n for c in pivots):
+        return None
+    if len(pivots) != n:
+        raise Singular("coefficient columns are dependent; solution not unique")
+    z = a.field.zero
+    data = [[pivots[i].get(n + k, z) for k in range(b.cols)] for i in range(n)]
+    return Matrix(a.field, n, b.cols, data)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -732,26 +582,16 @@ def homology_dims(d_in: Matrix, d_out: Matrix) -> int:
 def quotient_projection(sub: Matrix):
     """Projection data for ambient / column-span(sub).
 
-    Returns (dim, proj, lift): proj is a dim x ambient matrix, lift is an
-    ambient x dim section built from standard basis vectors missed by the
-    subspace, and proj @ lift = id.  The columns of `sub` may be dependent;
-    they are reduced to a basis first.
+    Returns (dim, proj, lift).  The free columns of the reduced echelon
+    form of sub's columns are the standard coordinates the span misses;
+    lift is the ambient x dim section that selects them, and proj, the
+    transpose of the kernel of sub^T, is the dim x ambient projection that
+    vanishes on the span with proj @ lift = id.  The columns of `sub` may be
+    dependent.
     """
     field = sub.field
-    ambient = sub.rows
-    _, _, img = rank_kernel_image(sub)
-    basis = img.basis
-    _, pivots = _echelon(basis.transpose())
-    # pivot columns of basis^T are the standard coordinates the span covers
-    covered = set(pivots)
-    complement = [i for i in range(ambient) if i not in covered]
-    qdim = len(complement)
-    sel = Matrix.zeros(field, ambient, qdim)
-    for k, i in enumerate(complement):
-        sel.data[i][k] = field.one
-    full = hstack([basis, sel])
-    inv = solve_columns(full, Matrix.identity(field, ambient))
-    if inv is None:
-        raise Singular("complement construction failed")
-    proj = Matrix(field, qdim, ambient, [inv.data[basis.cols + k] for k in range(qdim)])
-    return qdim, proj, sel
+    _, free, kernel = sparse_kernel(field, _rows_of(sub.transpose()), sub.rows)
+    lift = Matrix.zeros(field, sub.rows, len(free))
+    for k, i in enumerate(free):
+        lift.data[i][k] = field.one
+    return len(free), kernel.transpose(), lift

@@ -22,7 +22,8 @@ from fractions import Fraction
 from .ayd import (AydCoefficient, AydFlavour, AydModuleData,
                   build_trivial_coefficient, one_dim_coefficient)
 from .cyclic import (ModuleAlgebraData, ModuleCoalgebraData,
-                     build_named_module_algebra, build_named_module_coalgebra)
+                     build_named_module_algebra, build_named_module_coalgebra,
+                     dim_cap)
 from .errors import (CharacteristicClash, HopfContraError, ParseError,
                      ShapeMismatch, UnknownName, ValidationError)
 from .exactla import FieldSpec, Matrix
@@ -90,6 +91,16 @@ def _as_int(value, path, minimum=None):
     if minimum is not None and value < minimum:
         _fail(f"expected an integer >= {minimum}", path)
     return value
+
+
+def _as_dim(obj, path):
+    """The declared "dim" of obj: a positive integer no larger than the cap,
+    checked before anything of that size is allocated."""
+    dim = _as_int(_get(obj, "dim", path), f"{path}.dim", minimum=1)
+    cap = dim_cap()
+    if dim > cap:
+        _fail(f"dimension {dim} exceeds the cap {cap}", f"{path}.dim")
+    return dim
 
 
 def _as_index(value, bound, path):
@@ -196,7 +207,7 @@ def _parse_hopf(field, value, path):
             return build_named_example(name, field)
         except (UnknownName, CharacteristicClash) as e:
             _fail(str(e), f"{path}.name")
-    dim = _as_int(_get(obj, "dim", path), f"{path}.dim", minimum=1)
+    dim = _as_dim(obj, path)
     algebra = AlgebraData.from_triples(
         field, dim,
         _structure_triples(field, dim, _get(obj, "mul", path), f"{path}.mul"),
@@ -225,7 +236,7 @@ def _parse_module_coalgebra(hopf, value, path):
             return build_named_module_coalgebra(obj["name"], hopf)
         except UnknownName as e:
             _fail(str(e), f"{path}.name")
-    dim = _as_int(_get(obj, "dim", path), f"{path}.dim", minimum=1)
+    dim = _as_dim(obj, path)
     coalgebra = CoalgebraData.from_triples(
         F, dim,
         _structure_triples(F, dim, _get(obj, "comul", path), f"{path}.comul"),
@@ -246,7 +257,7 @@ def _parse_module_algebra(hopf, value, path):
             return build_named_module_algebra(obj["name"], hopf)
         except UnknownName as e:
             _fail(str(e), f"{path}.name")
-    dim = _as_int(_get(obj, "dim", path), f"{path}.dim", minimum=1)
+    dim = _as_dim(obj, path)
     algebra = AlgebraData.from_triples(
         F, dim,
         _structure_triples(F, dim, _get(obj, "mul", path), f"{path}.mul"),
@@ -282,7 +293,7 @@ def _parse_coefficient(hopf, value, path):
             alpha_row = _scalar_list(F, _get(obj, "alpha_row", path), hopf.dim,
                                      f"{path}.alpha_row")
             return cid, one_dim_coefficient(hopf, flavour, character, alpha_row)
-        dim = _as_int(_get(obj, "dim", path), f"{path}.dim", minimum=1)
+        dim = _as_dim(obj, path)
         mats = _action_matrices(F, hopf.dim, dim, dim, _get(obj, "action", path),
                                 f"{path}.action")
         alpha = _sparse_matrix(F, dim, hopf.dim * dim, _get(obj, "alpha", path),
@@ -295,7 +306,7 @@ def _parse_coefficient(hopf, value, path):
         except ShapeMismatch as e:
             _fail(str(e), path)
     if kind == "ayd_module":
-        dim = _as_int(_get(obj, "dim", path), f"{path}.dim", minimum=1)
+        dim = _as_dim(obj, path)
         mats = _action_matrices(F, hopf.dim, dim, dim, _get(obj, "action", path),
                                 f"{path}.action")
         coaction = _sparse_matrix(F, hopf.dim * dim, dim,
@@ -318,6 +329,8 @@ def _parse_task(session, value, path):
     spec = TaskSpec(task=name)
     if "coefficient" in obj:
         cid = obj["coefficient"]
+        if not isinstance(cid, str):
+            _fail("expected a coefficient id string", f"{path}.coefficient")
         if cid not in session.coefficients:
             _fail(f"coefficient {cid!r} is not declared", f"{path}.coefficient")
         spec.coefficient = cid

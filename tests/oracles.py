@@ -10,13 +10,17 @@ rather than tautology.
 from fractions import Fraction
 
 
-def frac_rank(rows):
-    """Rank over the rationals by textbook row reduction."""
+def frac_rref(rows):
+    """Reduced row echelon form over the rationals by textbook row reduction.
+
+    Returns (reduced rows, pivot columns): the nonzero rows of the reduced
+    form, top to bottom, and the column of each row's leading one.
+    """
     m = [[Fraction(v) for v in row] for row in rows]
     if not m:
-        return 0
+        return [], []
     n_rows, n_cols = len(m), len(m[0])
-    rank = 0
+    pivots = []
     row = 0
     for col in range(n_cols):
         pivot = None
@@ -33,20 +37,24 @@ def frac_rank(rows):
             if r != row and m[r][col] != 0:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        rank += 1
+        pivots.append(col)
         row += 1
         if row == n_rows:
             break
-    return rank
+    return m[:row], pivots
 
 
-def modp_rank(rows, p):
-    """Rank over GF(p) by textbook row reduction."""
+def modp_rref(rows, p):
+    """Reduced row echelon form over GF(p) by textbook row reduction.
+
+    Returns (reduced rows, pivot columns) as frac_rref does, with entries
+    the least nonnegative residues.
+    """
     m = [[v % p for v in row] for row in rows]
     if not m:
-        return 0
+        return [], []
     n_rows, n_cols = len(m), len(m[0])
-    rank = 0
+    pivots = []
     row = 0
     for col in range(n_cols):
         pivot = None
@@ -63,11 +71,21 @@ def modp_rank(rows, p):
             if r != row and m[r][col]:
                 factor = m[r][col]
                 m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[row])]
-        rank += 1
+        pivots.append(col)
         row += 1
         if row == n_rows:
             break
-    return rank
+    return m[:row], pivots
+
+
+def frac_rank(rows):
+    """Rank over the rationals."""
+    return len(frac_rref(rows)[1])
+
+
+def modp_rank(rows, p):
+    """Rank over GF(p)."""
+    return len(modp_rref(rows, p)[1])
 
 
 def rank_of(matrix):

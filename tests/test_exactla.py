@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +17,8 @@ from hopfcontra.exactla import (GF, QQ, Matrix, homology_dims, hstack,
                                 tensor_permutation, tensor_permutation_map,
                                 vstack)
 
-from oracles import frac_rank, modp_rank, rank_of as oracle_rank
+import oracles
+from oracles import frac_rank, frac_rref, modp_rank, modp_rref, rank_of as oracle_rank
 
 F7 = GF(7)
 
@@ -150,7 +155,7 @@ def test_tensor_permutation_relabels_indices():
     p = tensor_permutation(QQ, (2, 3), (1, 0))
     for i in range(2):
         for j in range(3):
-            src = Matrix.basis_column(QQ, 6, i * 3 + j)
+            src = Matrix.from_entries(QQ, 6, 1, [(i * 3 + j, 0, 1)])
             dst = p @ src
             assert dst.data[j * 2 + i][0] == 1
 
@@ -252,9 +257,29 @@ def _entry_reprs(m):
     return [[repr(v) for v in row] for row in m.data]
 
 
+def _oracle_rref(field, rows):
+    if field.p is None:
+        return frac_rref(rows)
+    return modp_rref(rows, field.p)
+
+
+def _oracle_kernel(field, reduced, pivots, ncols):
+    """Kernel columns that are the identity on the free columns, read off the
+    oracle's reduced rows entry by entry."""
+    free = [c for c in range(ncols) if c not in pivots]
+    zero, one = (Fraction(0), Fraction(1)) if field.p is None else (0, 1)
+    data = [[zero] * len(free) for _ in range(ncols)]
+    for k, f in enumerate(free):
+        data[f][k] = one
+        for row, pc in zip(reduced, pivots):
+            if row[f]:
+                data[pc][k] = -row[f] if field.p is None else -row[f] % field.p
+    return free, [[repr(v) for v in row] for row in data]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 7), st.data())
-def test_sparse_kernel_is_the_rank_kernel_image_kernel(r, c, data):
+def test_sparse_kernel_matches_oracle_rref(r, c, data):
     ints = data.draw(st.lists(st.lists(sparse_ints, min_size=c, max_size=c),
                               min_size=r, max_size=r))
     order = data.draw(st.permutations(range(r)))
@@ -263,14 +288,77 @@ def test_sparse_kernel_is_the_rank_kernel_image_kernel(r, c, data):
         m = Matrix.from_rows(field, ints)
         rows = [{j: v for j, v in enumerate(m.data[i]) if v} for i in order]
         rref, free, kernel = sparse_kernel(field, rows, c)
-        _, want, _ = rank_kernel_image(m)
-        assert _entry_reprs(kernel) == _entry_reprs(want.basis)
+        reduced, want_pivots = _oracle_rref(field, m.data)
+        want_free, want_kernel = _oracle_kernel(field, reduced, want_pivots, c)
+        assert free == want_free
+        assert _entry_reprs(kernel) == want_kernel
+        assert rref == [{j: v for j, v in enumerate(row) if v} for row in reduced]
         # reduced echelon: a leading one, zero at every other pivot column
         pivots = [min(row) for row in rref]
-        assert pivots == sorted(pivots)
+        assert pivots == sorted(pivots) == want_pivots
         assert sorted(pivots + free) == list(range(c))
         for pc, row in zip(pivots, rref):
             assert row[pc] == field.one
             assert not any(q in row for q in pivots if q != pc)
+        _, via_matrix, _ = rank_kernel_image(m)
+        assert _entry_reprs(via_matrix.basis) == want_kernel
         kernel_dims[field] = kernel.cols
     assert kernel_dims[F7] >= kernel_dims[QQ]
+
+
+def _field_matrices(field, rows, cols):
+    return q_matrices(rows, cols) if field.p is None else gf_matrices(rows, cols)
+
+
+def _joined_rank(field, a, b):
+    return len(_oracle_rref(field, [ra + rb for ra, rb in zip(a.data, b.data)])[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, F7]), st.integers(1, 5), st.integers(1, 4),
+       st.integers(1, 3), st.data())
+def test_solve_columns_against_oracle_ranks(field, r, c, k, data):
+    a = data.draw(_field_matrices(field, r, c))
+    rank = len(_oracle_rref(field, a.data)[1])
+    independent = rank == c
+    x = data.draw(_field_matrices(field, c, k))
+    if independent:
+        assert solve_columns(a, a @ x) == x
+    else:
+        with pytest.raises(Singular):
+            solve_columns(a, a @ x)
+    b = data.draw(_field_matrices(field, r, k))
+    if _joined_rank(field, a, b) > rank:
+        assert solve_columns(a, b) is None
+    elif independent:
+        assert a @ solve_columns(a, b) == b
+    else:
+        with pytest.raises(Singular):
+            solve_columns(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, F7]), st.integers(1, 6), st.integers(1, 5), st.data())
+def test_quotient_projection_against_oracle_rank(field, ambient, k, data):
+    sub = data.draw(_field_matrices(field, ambient, k))
+    qdim, proj, lift = quotient_projection(sub)
+    assert qdim == ambient - len(_oracle_rref(field, sub.data)[1])
+    assert proj.shape == (qdim, ambient) and lift.shape == (ambient, qdim)
+    assert (proj @ sub).is_zero()
+    assert proj @ lift == Matrix.identity(field, qdim)
+    # the section selects standard coordinates
+    assert all(sorted(col) == [field.zero] * (ambient - 1) + [field.one]
+               for col in (lift.col(j) for j in range(qdim)))
+
+
+def test_oracles_import_nothing_from_the_package():
+    # in a fresh interpreter that could import the package, loading the
+    # oracles (and whatever they import) must leave it unloaded
+    tests = Path(oracles.__file__).resolve().parent
+    code = ("import sys; import oracles; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'hopfcontra'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests), str(tests.parent / "src")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
