@@ -7,27 +7,29 @@ Two shapes are built over a Hopf algebra H with coefficient space M:
 * cocyclic: C^n = Hom_H(A^(x)(n+1), M) for a module algebra A, with the
   arrows reversed.
 
-Tensor powers carry the diagonal action.  Every operator is assembled on the
-full hom space out of slot permutations, structure-map precompositions, and
-a single application route for the contramodule map, then re-expressed in
-the computed equivariant bases.  A restriction that fails to close raises
-NotEquivariant rather than silently projecting.
+Tensor powers carry the diagonal action.  No operator is built on the full
+hom space: each is a structure-map precomposition or the contramodule map
+routed through a rotation of the tensor legs, applied to the sparse columns
+of the equivariant basis it starts from.  The images are checked against
+the target basis's echelon rows and read off at its free coordinates, so a
+restriction that fails to close raises NotEquivariant rather than silently
+projecting.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 from .ayd import AydCoefficient, AydFlavour, ensure_coefficient_checked
 from .errors import (CharacteristicUnsupported, CompositionNotZero,
                      DimensionCapExceeded, NotEquivariant, PrerequisiteFailed,
                      ShapeMismatch, ValidationError)
-from .exactla import (Matrix, Subspace, hstack, kron, permute_cols,
-                      permute_rows, quotient_projection, rank_kernel_image,
-                      rank_of, solve_columns, sparse_kernel,
-                      tensor_permutation_map)
+from .exactla import (Matrix, Subspace, kron, quotient_projection,
+                      rank_kernel_image, rank_of, solve_columns, sparse_kernel,
+                      sparse_quotient)
 from .exactla import homology_dims as _middle_homology
 from .hopf import AlgebraData, CoalgebraData, HopfData
 from .report import Report
@@ -224,6 +226,10 @@ def _sparse_columns(m: Matrix):
     return [{i: v for i, row in enumerate(m.data) if (v := row[j])} for j in range(m.cols)]
 
 
+def _sparse_rows(m: Matrix):
+    return [[(j, v) for j, v in enumerate(row) if v] for row in m.data]
+
+
 def _nonzero(entries, p):
     """The nonzero entries of a {index: scalar} dict, reduced mod p over GF(p)."""
     if p is not None:
@@ -254,6 +260,20 @@ class EquivariantBasis:
     @property
     def ambient(self):
         return self.space.ambient_dim
+
+    @cached_property
+    def columns(self):
+        """The basis columns as {coordinate: scalar} dicts: column f is one at
+        the free coordinate f and minus row[f] at each rref row's pivot."""
+        F = self.space.basis.field
+        p = F.p
+        cols = {f: {f: F.one} for f in self.free}
+        for row in self.rref:
+            c = min(row)
+            for f, v in row.items():
+                if f != c:
+                    cols[f][c] = -v if p is None else -v % p
+        return [cols[f] for f in self.free]
 
 
 def _check_cap(ambient):
@@ -296,37 +316,32 @@ def equivariant_hom_basis(x: ModuleRep, m: AydCoefficient, n: int) -> Equivarian
     return EquivariantBasis(n, dX, dM, Subspace(dX * dM, basis), tuple(free), tuple(rref))
 
 
-def _hom_precompose(g: Matrix, dm: int) -> Matrix:
-    """Hom(X, M) -> Hom(X', M), f -> f . g for g: X' -> X."""
-    return kron(g.transpose(), Matrix.identity(g.field, dm))
+def _restrict(operator, degree, images, dst: EquivariantBasis) -> Matrix:
+    """Sparse images of src's basis columns, re-expressed in dst's basis.
 
-
-def _alpha_route(alpha: Matrix, w: Matrix, dh: int, dxp: int, dm: int) -> Matrix:
-    """Operator Hom(X, M) -> Hom(X', M) sending f to xi -> alpha(h -> f(w(h (x) xi)))."""
-    pre = _hom_precompose(w, dm)
-    new_to_old = tensor_permutation_map((dh, dxp, dm), (1, 0, 2))
-    curried = permute_rows(pre, new_to_old)
-    return kron(Matrix.identity(alpha.field, dxp), alpha) @ curried
-
-
-def _restrict(name: str, op: Matrix, src: EquivariantBasis, dst: EquivariantBasis) -> Matrix:
-    """op re-expressed in the bases of src and dst.
-
-    Y = op @ src.basis lies in dst's subspace exactly when every constraint
-    row of dst annihilates it; its coordinates are then its rows at dst's
+    An image y lies in dst's subspace exactly when every row of dst.rref
+    annihilates it.  The row with pivot c evaluates to y[c] minus the sum of
+    y[f] * column_f[c] over the free coordinates f, so the check visits only
+    y's nonzero entries.  The coordinates of y are then its entries at dst's
     free coordinates, where dst's basis is the identity.
     """
-    y = op @ src.space.basis
-    p = y.field.p
-    for row in dst.rref:
-        acc = [0] * y.cols
-        for c, v in row.items():
-            for k, w in enumerate(y.data[c]):
-                if w:
-                    acc[k] += v * w
-        if any(a % p if p is not None else a for a in acc):
-            raise NotEquivariant(f"{name} does not preserve the equivariant subspaces")
-    return Matrix(y.field, len(dst.free), y.cols, [y.data[c] for c in dst.free])
+    F = dst.space.basis.field
+    p = F.p
+    index = {c: r for r, c in enumerate(dst.free)}
+    columns = dst.columns
+    data = [[F.zero] * len(images) for _ in dst.free]
+    for k, y in enumerate(images):
+        residue = {c: v for c, v in y.items() if c not in index}
+        for f, v in y.items():
+            if f in index:
+                data[index[f]][k] = v
+                for c, w in columns[index[f]].items():
+                    if c != f:
+                        residue[c] = residue.get(c, 0) - v * w
+        if any(v % p if p is not None else v for v in residue.values()):
+            raise NotEquivariant(f"{operator} at degree {degree} does not preserve "
+                                 "the equivariant subspaces", degree=degree, operator=operator)
+    return Matrix(F, len(dst.free), len(images), data)
 
 
 @dataclass
@@ -375,13 +390,14 @@ def _build_complex(kind, flavour, data, check, g, e, m, N, allow_unstable, requi
     """The complex of `data` with structure map g (comul or mul) and e its
     counit or unit.
 
-    Inner (co)faces and (co)degeneracies precompose with id (x) g (x) id and
-    id (x) e (x) id, and are restricted from the degree of that map's
-    codomain to the degree of its domain.  The (co)cyclic operator routes
-    the contramodule map through a slot rotation followed by the action,
-    which sits on the last tensor leg for cyclic and on the first for
-    cocyclic; the last (co)face is that route composed with the 0-th
-    (co)face map.
+    No operator is built at ambient size: each one is applied to the sparse
+    basis columns of its source degree.  Inner (co)faces and
+    (co)degeneracies precompose with id^i (x) u (x) id^k, u being g or e.
+    The (co)cyclic operator precomposes with a rotation of the tensor legs
+    followed by the action, which sits on the last leg for cyclic and on the
+    first for cocyclic, and then applies the contramodule map to each
+    Hom(H, M) block.  The last (co)face is that operator composed with the
+    0-th (co)face map.
     """
     cyclic = kind == "cyclic"
     if m.flavour.code != flavour:
@@ -394,8 +410,8 @@ def _build_complex(kind, flavour, data, check, g, e, m, N, allow_unstable, requi
     if require_checked:
         ensure_coefficient_checked(m, need_stable=not allow_unstable)
     x = data.action
-    F = x.field
-    dh, dx, dm = x.hopf.dim, x.dim, m.dim
+    p = x.field.p
+    dx, dm = x.dim, m.dim
     # the ambient dimension grows with the degree, and stays dm when dx is 1
     for n in range(N + 1 if dx > 1 else 1):
         _check_cap(dx ** (n + 1) * dm)
@@ -403,48 +419,78 @@ def _build_complex(kind, flavour, data, check, g, e, m, N, allow_unstable, requi
     if sum(1 for _ in islice(_relation_table(N), cap + 1)) > cap:
         raise DimensionCapExceeded(
             f"the {kind} relations up to degree {N} number more than the cap {cap}")
-    alpha = m.alpha.alpha
-    act_flat = x.action_matrix()
     bases = [equivariant_hom_basis(x, m, n) for n in range(N + 1)]
     prefix = "" if cyclic else "co"
+    # u: X^a -> X^b as (its rows as [(column, scalar)], a, b)
+    g_map = (_sparse_rows(g),) + ((1, 2) if cyclic else (2, 1))
+    e_map = (_sparse_rows(e),) + ((1, 0) if cyclic else (0, 1))
+    # acts[z] lists (h, y, scalar) with h.y having that scalar at z
+    acts = [[(h, y, a) for h, act in enumerate(x.matrices)
+             for y, a in enumerate(act.data[z]) if a] for z in range(dx)]
+    alpha = [list(col.items()) for col in _sparse_columns(m.alpha.alpha)]
 
-    def eye(k):
-        return Matrix.identity(F, dx ** k)
+    def precompose(cols, u, i, k):
+        """f -> f . (id^i (x) u (x) id^k) on sparse columns."""
+        rows, a, b = u
+        low = dx ** k
+        high, shift = dx ** b * low, dx ** a
+        out = []
+        for col in cols:
+            acc = {}
+            for flat, v in col.items():
+                j, s = divmod(flat, dm)
+                pre, rest = divmod(j, high)
+                mid, suf = divmod(rest, low)
+                for mid2, w in rows[mid]:
+                    t = ((pre * shift + mid2) * low + suf) * dm + s
+                    acc[t] = acc.get(t, 0) + v * w
+            out.append(_nonzero(acc, p))
+        return out
 
-    def inner(i, u, k):
-        return kron(eye(i), kron(u, eye(k)))
+    def turn(cols, n):
+        """f -> (xi -> alpha(h -> f(w(h (x) xi)))) at degree n, where w sends
+        h (x) x0..xn to x1..xn (h.x0) for cyclic and to (h.xn) x0..x(n-1)
+        for cocyclic."""
+        top = dx ** n
+        out = []
+        for col in cols:
+            acc = {}
+            for flat, v in col.items():
+                j, s = divmod(flat, dm)
+                if cyclic:
+                    rest, z = divmod(j, dx)
+                else:
+                    z, rest = divmod(j, top)
+                for h, y, a in acts[z]:
+                    base = (y * top + rest if cyclic else rest * dx + y) * dm
+                    va = v * a
+                    for s2, c in alpha[h * dm + s]:
+                        acc[base + s2] = acc.get(base + s2, 0) + va * c
+            out.append(_nonzero(acc, p))
+        return out
 
-    def restrict(name, op, n, k):
+    def restrict(name, n, k, images):
         # cyclic operators run from degree n to k, cocyclic ones from k to n
-        src, dst = (n, k) if cyclic else (k, n)
-        return _restrict(prefix + name, op, bases[src], bases[dst])
+        return _restrict(prefix + name, n, images, bases[k if cyclic else n])
 
-    def rotation(n):
-        """H (x) X^(n+1) -> X^(n+1): rotate the tensor legs, then act."""
-        if cyclic:
-            perm, acted = [s + 2 for s in range(n)] + [0, 1], kron(eye(n), act_flat)
-        else:
-            perm, acted = [0, n + 1] + [s + 1 for s in range(n)], kron(act_flat, eye(n))
-        return permute_cols(acted, tensor_permutation_map((dh,) + (dx,) * (n + 1), tuple(perm)))
-
-    def routed(w):
-        return _alpha_route(alpha, w, dh, w.cols // dh, dm)
-
-    faces, degens, cyclers = {}, {}, {}
+    cols = [b.columns for b in bases]
+    turned, faces, degens, cyclers = {}, {}, {}, {}
     for n in range(1, N + 1):
-        ops = [restrict(f"face {i} at degree {n}",
-                        _hom_precompose(inner(i, g, n - 1 - i), dm), n, n - 1)
-               for i in range(n)]
-        g0 = inner(0, g, n - 1)
-        w = rotation(n) @ kron(Matrix.identity(F, dh), g0) if cyclic else g0 @ rotation(n)
-        ops.append(restrict(f"face {n} at degree {n}", routed(w), n, n - 1))
-        faces[n] = ops
+        src = cols[n] if cyclic else cols[n - 1]
+        images = [precompose(src, g_map, i, n - 1 - i) for i in range(n)]
+        if cyclic:
+            turned[n] = turn(src, n)
+            images.append(precompose(turned[n], g_map, 0, n - 1))
+        else:
+            images.append(turn(images[0], n))
+        faces[n] = [restrict(f"face {i}", n, n - 1, im) for i, im in enumerate(images)]
     for n in range(N):
-        degens[n] = [restrict(f"degeneracy {j} at degree {n}",
-                              _hom_precompose(inner(j + 1, e, n - j), dm), n, n + 1)
+        src = cols[n] if cyclic else cols[n + 1]
+        degens[n] = [restrict(f"degeneracy {j}", n, n + 1, precompose(src, e_map, j + 1, n - j))
                      for j in range(n + 1)]
     for n in range(N + 1):
-        cyclers[n] = restrict(f"cyclic operator at degree {n}", routed(rotation(n)), n, n)
+        images = turned[n] if n in turned else turn(cols[n], n)
+        cyclers[n] = restrict("cyclic operator", n, n, images)
     return CyclicComplexData(kind, m, N, bases, faces, degens, cyclers)
 
 
@@ -572,7 +618,7 @@ def homology_dims(cx: CyclicComplexData, mode: str = "hochschild"):
         for n in range(1, N + 1):
             if not (proj[n - 1] @ b[n] @ one_minus_lambda(n)).is_zero():
                 raise CompositionNotZero(
-                    f"boundary does not descend to the cyclic quotient at degree {n}")
+                    f"boundary does not descend to the cyclic quotient at degree {n}", degree=n)
             bq[n] = proj[n - 1] @ b[n] @ lift[n]
         space_dims = [qdims[n] for n in range(N + 1)]
     else:
@@ -585,7 +631,7 @@ def homology_dims(cx: CyclicComplexData, mode: str = "hochschild"):
             restricted = solve_columns(ker[n], b[n] @ ker[n - 1])
             if restricted is None:
                 raise CompositionNotZero(
-                    f"coboundary leaves the invariant subcomplex at degree {n}")
+                    f"coboundary leaves the invariant subcomplex at degree {n}", degree=n)
             bq[n] = restricted
         space_dims = [ker[n].cols for n in range(N + 1)]
     return _graded_dims(cx.kind, bq, space_dims, N)
@@ -602,69 +648,6 @@ def _graded_dims(kind, b, space_dims, N):
         else:
             out.append(_middle_homology(b[n], b[n + 1]))
     return out
-
-
-def hom_bimodule_actions(a: ModuleAlgebraData, m: AydCoefficient):
-    """The two commuting actions of A on Hom(A, M) and their verified laws.
-
-    Returns (left_ops, right_ops, report).  The left action precomposes with
-    right multiplication; the right action routes through the contramodule
-    map.  The coefficient must be left-left and pass its compatibility check.
-    """
-    if m.flavour.code != "ll":
-        raise PrerequisiteFailed(
-            f"the hom bimodule needs a left-left coefficient, got {m.flavour.code}")
-    struct = check_module_algebra(a)
-    if not struct.ok:
-        raise PrerequisiteFailed(f"module algebra fails {struct.failures()[0].name}")
-    ensure_coefficient_checked(m, need_stable=False)
-    F = a.action.field
-    h = a.hopf
-    dh, da, dm = h.dim, a.dim, m.dim
-    alpha = m.alpha.alpha
-    mul, unit = a.algebra.mul, a.algebra.unit
-    right_mult = a.algebra.right_mult()
-    I_m = Matrix.identity(F, dm)
-    left_ops = [kron(right_mult[i].transpose(), I_m) for i in range(da)]
-    right_ops = []
-    for i in range(da):
-        act_col = Matrix.zeros(F, da, dh)
-        for hh in range(dh):
-            col = a.action.matrices[hh].col(i)
-            for r in range(da):
-                act_col.data[r][hh] = col[r]
-        w = mul @ kron(act_col, Matrix.identity(F, da))
-        right_ops.append(_alpha_route(alpha, w, dh, da, dm))
-    rep = Report("hom bimodule")
-    rep.note("hom-right-action-associativity")
-    rep.note("module-algebra-two-factors")
-    hom_dim = da * dm
-    ident = Matrix.identity(F, hom_dim)
-    for i in range(da):
-        for j in range(da):
-            combo_r = Matrix.zeros(F, hom_dim, hom_dim)
-            combo_l = Matrix.zeros(F, hom_dim, hom_dim)
-            for k in range(da):
-                c = mul.data[k][i * da + j]
-                if c != F.zero:
-                    combo_r = combo_r + right_ops[k].scale(c)
-                    combo_l = combo_l + left_ops[k].scale(c)
-            rep.compare(f"right action multiplicative at pair ({i},{j})",
-                        right_ops[j] @ right_ops[i], combo_r)
-            rep.compare(f"left action multiplicative at pair ({i},{j})",
-                        left_ops[i] @ left_ops[j], combo_l)
-            rep.compare(f"actions commute at pair ({i},{j})",
-                        left_ops[i] @ right_ops[j], right_ops[j] @ left_ops[i])
-    unit_r = Matrix.zeros(F, hom_dim, hom_dim)
-    unit_l = Matrix.zeros(F, hom_dim, hom_dim)
-    for k in range(da):
-        c = unit.data[k][0]
-        if c != F.zero:
-            unit_r = unit_r + right_ops[k].scale(c)
-            unit_l = unit_l + left_ops[k].scale(c)
-    rep.compare("right action unital", unit_r, ident)
-    rep.compare("left action unital", unit_l, ident)
-    return left_ops, right_ops, rep
 
 
 @dataclass(frozen=True)
@@ -690,16 +673,21 @@ def tensor_over_H(n, x: ModuleRep) -> QuotientData:
     if right.side != "right" or x.side != "left":
         raise ShapeMismatch("tensor over H pairs a right module with a left module")
     F = x.field
-    h = x.hopf
     dn, dx = right.dim, x.dim
     ambient = dn * dx
     cap = dim_cap()
     if ambient > cap:
         raise DimensionCapExceeded(
             f"tensor product dimension {ambient} exceeds the cap {cap}")
-    I_n = Matrix.identity(F, dn)
-    I_x = Matrix.identity(F, dx)
-    rel = hstack([kron(right.matrices[a], I_x) - kron(I_n, x.matrices[a])
-                  for a in range(h.dim)])
-    qdim, proj, lift = quotient_projection(rel)
+    # column (i, j) of kron(R_a, I_x) - kron(I_n, X_a), written as a sparse row
+    rows = []
+    for r_a, x_a in zip(right.matrices, x.matrices):
+        for i in range(dn):
+            for j in range(dx):
+                row = {k * dx + j: v for k, r in enumerate(r_a.data) if (v := r[i])}
+                for k, r in enumerate(x_a.data):
+                    if r[j]:
+                        row[i * dx + k] = row.get(i * dx + k, 0) - r[j]
+                rows.append(_nonzero(row, F.p))
+    qdim, proj, lift = sparse_quotient(F, rows, ambient)
     return QuotientData(ambient, qdim, proj, lift)

@@ -18,11 +18,13 @@ class Singular(HopfContraError):
 
 
 class CompositionNotZero(HopfContraError):
-    """Two differentials fail to compose to zero; carries a witness column."""
+    """Two differentials fail to compose to zero; carries a witness column
+    or the degree at which a complex's boundary fails, when known."""
 
-    def __init__(self, message, column=None):
+    def __init__(self, message, column=None, degree=None):
         super().__init__(message)
         self.column = column
+        self.degree = degree
 
 
 class UnknownName(HopfContraError):
@@ -50,7 +52,13 @@ class PrerequisiteFailed(HopfContraError):
 
 
 class NotEquivariant(HopfContraError):
-    """An operator image escapes the equivariant subspace it must land in."""
+    """An operator image escapes the equivariant subspace it must land in;
+    carries the operator's name and the degree it was built at."""
+
+    def __init__(self, message, degree=None, operator=None):
+        super().__init__(message)
+        self.degree = degree
+        self.operator = operator
 
 
 class DimensionCapExceeded(HopfContraError):

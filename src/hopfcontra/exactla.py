@@ -3,12 +3,17 @@
 Scalars are `fractions.Fraction` over the rationals and least nonnegative
 residues (plain ints) over GF(p).  No floating point anywhere.
 
-`Matrix` stores its entries densely.  There is one elimination: the
-reduced row echelon form of {column: scalar} rows behind `sparse_kernel`.
-Ranks, kernels, images, solves, inverses and quotient projections all read
-their results off it, and systems that are almost all zeros, like the
-H-linearity constraints of an equivariant hom space, are written to it as
-sparse rows directly.
+`Matrix` stores its entries densely; it is the one matrix type.  There is
+one elimination: the reduced row echelon form of {column: scalar} rows
+behind `sparse_kernel`.  Ranks, kernels, images, solves, inverses and
+quotient projections all read their results off it, and systems that are
+almost all zeros, like the H-linearity constraints of an equivariant hom
+space or the relations of a tensor product over H, are written to it as
+sparse rows directly (`sparse_kernel`, `sparse_quotient`).  Slot
+permutations of small tensor products are applied by reindexing rows
+(`permute_rows`, `tensor_permutation_map`).  The operators of the hom
+complexes are not built here: `cyclic` applies them to sparse basis columns
+and hands over only their restrictions, as dense `Matrix` values.
 
 Basis conventions, fixed once and used by every other module:
 
@@ -400,23 +405,6 @@ def permute_rows(m: Matrix, new_to_old) -> Matrix:
     return Matrix(m.field, m.rows, m.cols, data)
 
 
-def permute_cols(m: Matrix, new_to_old) -> Matrix:
-    """Precompose m with the permutation whose row map is new_to_old.
-
-    Equals m @ permute_rows(identity, new_to_old): column new_to_old[k] of
-    the result is column k of m.
-    """
-    if len(new_to_old) != m.cols:
-        raise ShapeMismatch(f"column map of length {len(new_to_old)} on {m.cols} cols")
-    out = Matrix.zeros(m.field, m.rows, m.cols)
-    for i in range(m.rows):
-        src = m.data[i]
-        dst = out.data[i]
-        for k, j in enumerate(new_to_old):
-            dst[j] = src[k]
-    return out
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of k^ambient_dim, spanned by the columns of `basis`."""
@@ -589,9 +577,14 @@ def quotient_projection(sub: Matrix):
     vanishes on the span with proj @ lift = id.  The columns of `sub` may be
     dependent.
     """
-    field = sub.field
-    _, free, kernel = sparse_kernel(field, _rows_of(sub.transpose()), sub.rows)
-    lift = Matrix.zeros(field, sub.rows, len(free))
+    return sparse_quotient(sub.field, _rows_of(sub.transpose()), sub.rows)
+
+
+def sparse_quotient(field, rows, ambient):
+    """quotient_projection for the span of sparse {coordinate: scalar} rows
+    in k^ambient, with no dense matrix of spanning vectors."""
+    _, free, kernel = sparse_kernel(field, rows, ambient)
+    lift = Matrix.zeros(field, ambient, len(free))
     for k, i in enumerate(free):
         lift.data[i][k] = field.one
     return len(free), kernel.transpose(), lift

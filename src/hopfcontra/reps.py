@@ -12,7 +12,7 @@ coalgebra, which is the same axiom after rewiring the currying step.
 from __future__ import annotations
 
 from .errors import InvalidComodule, ShapeMismatch
-from .exactla import Matrix, hstack, kron
+from .exactla import Matrix, kron
 from .hopf import CoalgebraData, HopfData
 from .report import Report
 
@@ -51,10 +51,6 @@ class ModuleRep:
     @property
     def field(self):
         return self.hopf.field
-
-    def action_matrix(self):
-        """Flattened action H (x) M -> M; column block a is matrices[a]."""
-        return hstack(self.matrices)
 
 
 class ComoduleRep:

@@ -20,8 +20,8 @@ from hopfcontra.cli import main
 from hopfcontra.cyclic import (build_cocyclic_complex, build_cyclic_complex,
                                build_named_module_algebra,
                                build_named_module_coalgebra,
-                               equivariant_hom_basis, hom_bimodule_actions,
-                               homology_dims, tensor_over_H,
+                               equivariant_hom_basis, homology_dims,
+                               tensor_over_H,
                                verify_cyclic_relations)
 from hopfcontra.exactla import Matrix, QQ
 from hopfcontra.homconn import (build_dga, check_leibniz,
@@ -31,6 +31,7 @@ from hopfcontra.hopf import check_hopf_axioms
 from hopfcontra.reps import ModuleRep
 from hopfcontra.session import load_session
 
+from dense_routes import hom_bimodule_actions
 from oracles import group_tuple_orbits, homology_dim, intertwiner_dim
 from test_ayd import _sweedler_ayd_module
 from test_cyclic import _power_module, _raw_power

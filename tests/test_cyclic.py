@@ -12,14 +12,15 @@ from hopfcontra.cyclic import (build_cocyclic_complex, build_cyclic_complex,
                                build_named_module_coalgebra,
                                check_module_algebra, check_module_coalgebra,
                                diagonal_power, equivariant_hom_basis,
-                               hom_bimodule_actions, homology_dims,
-                               tensor_over_H, verify_cyclic_relations)
+                               homology_dims, tensor_over_H,
+                               verify_cyclic_relations)
 from hopfcontra.errors import (CharacteristicUnsupported, DimensionCapExceeded,
                                NotEquivariant, PrerequisiteFailed, ShapeMismatch,
                                UnknownName)
 from hopfcontra.exactla import QQ, Matrix
 from hopfcontra.reps import ModuleRep
 
+from dense_routes import hom_bimodule_actions
 from oracles import (diagonal_power as raw_diagonal_power, frac_rank,
                      group_tuple_orbits, homology_dim, intertwiner_dim)
 from test_ayd import _sweedler_ayd_module

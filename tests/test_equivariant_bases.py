@@ -109,6 +109,12 @@ def test_equivariant_dimensions_agree_over_q_and_gf7(tmp_path):
         assert dims["Q"] == dims["GF7"], path.name
 
 
+def _sparse_images(op, src):
+    """The columns of op @ src.basis as {coordinate: scalar} dicts."""
+    y = op @ src.space.basis
+    return [{i: row[k] for i, row in enumerate(y.data) if row[k]} for k in range(y.cols)]
+
+
 @pytest.mark.parametrize("session, cid", [("c2_trivial", "k"), ("h4_cyclic", "ndual")])
 def test_restrict_matches_solve_columns(session, cid):
     # the faces and a non-equivariant operator between degrees 2 and 1,
@@ -118,17 +124,20 @@ def test_restrict_matches_solve_columns(session, cid):
     F, dx, dm = coeff.field, coalg.dim, coeff.dim
     src = equivariant_hom_basis(coalg.action, coeff, 2)
     dst = equivariant_hom_basis(coalg.action, coeff, 1)
+    assert [{c: v for c, v in enumerate(src.space.basis.col(k)) if v}
+            for k in range(src.dim)] == src.columns
     comul = coalg.coalgebra.comul
     eye = Matrix.identity(F, dx)
     for g in (kron(comul, eye), kron(eye, comul)):
         op = kron(g.transpose(), Matrix.identity(F, dm))
         want = solve_columns(dst.space.basis, op @ src.space.basis)
         assert want is not None
-        got = cyclic._restrict("face", op, src, dst)
+        got = cyclic._restrict("face", 2, _sparse_images(op, src), dst)
         assert matrix_digest(got) == matrix_digest(want)
     # a single entry moving the first basis vector onto one coordinate
     stray = Matrix.zeros(F, dst.ambient, src.ambient)
     stray.data[0][src.space.basis.col(0).index(F.one)] = F.one
     assert solve_columns(dst.space.basis, stray @ src.space.basis) is None
-    with pytest.raises(NotEquivariant, match="stray does not preserve"):
-        cyclic._restrict("stray", stray, src, dst)
+    with pytest.raises(NotEquivariant, match="stray at degree 2 does not preserve") as exc:
+        cyclic._restrict("stray", 2, _sparse_images(stray, src), dst)
+    assert (exc.value.operator, exc.value.degree) == ("stray", 2)

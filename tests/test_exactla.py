@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hopfcontra.errors import (CompositionNotZero, FieldMismatch, ShapeMismatch,
                                Singular)
 from hopfcontra.exactla import (GF, QQ, Matrix, homology_dims, hstack,
-                                inverse, kron, permute_cols, permute_rows,
+                                inverse, kron, permute_rows,
                                 quotient_projection, rank_kernel_image, rank_of,
                                 solve_columns, sparse_kernel,
                                 tensor_permutation, tensor_permutation_map,
@@ -168,15 +168,6 @@ def test_tensor_permutation_map_agrees_with_matrix(perm):
     rowmap = tensor_permutation_map(dims3, tuple(perm))
     ident = Matrix.identity(QQ, 12)
     assert permute_rows(ident, rowmap) == mat
-
-
-@settings(max_examples=30)
-@given(st.data())
-def test_permute_cols_is_right_multiplication(data):
-    m = data.draw(q_matrices(2, 4))
-    perm = data.draw(st.permutations(list(range(4))))
-    ident = Matrix.identity(QQ, 4)
-    assert permute_cols(m, list(perm)) == m @ permute_rows(ident, list(perm))
 
 
 def test_stacking():
