@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PrerequisiteFailed, ShapeMismatch
-from .exactla import Matrix, kron, tensor_permutation, vstack
+from .exactla import Matrix, combine, kron, tensor_permutation, vstack
 from .hopf import HopfData
 from .report import Report
 from .reps import (ComoduleRep, ContraRep, ModuleRep, check_comodule,
@@ -113,20 +113,20 @@ def _transport_operator(c: AydCoefficient, a: int) -> Matrix:
     rho = c.action.matrices
     L = h.left_mult()
     R = h.right_mult()
-    out = Matrix.zeros(F, h.dim * dm, h.dim * dm)
     code = c.flavour.code
-    for (idx, coeff) in h.comul_terms(2)[a]:
-        b, mid, d = idx
+
+    def inner(b, d):
         if code == "ll":
-            inner = h.mult_by(h.antipode_inv_of(b), "left") @ R[d]
-        elif code == "lr":
-            inner = h.mult_by(h.antipode_of(d), "left") @ R[b]
-        elif code == "rl":
-            inner = L[d] @ h.mult_by(h.antipode_of(b), "right")
-        else:
-            inner = L[b] @ h.mult_by(h.antipode_inv_of(d), "right")
-        out = out + kron(inner.transpose(), rho[mid]).scale(coeff)
-    return out
+            return h.mult_by(h.antipode_inv_of(b), "left") @ R[d]
+        if code == "lr":
+            return h.mult_by(h.antipode_of(d), "left") @ R[b]
+        if code == "rl":
+            return L[d] @ h.mult_by(h.antipode_of(b), "right")
+        return L[b] @ h.mult_by(h.antipode_inv_of(d), "right")
+
+    return combine(F, h.dim * dm, h.dim * dm,
+                   [(coeff, kron(inner(b, d).transpose(), rho[mid]))
+                    for ((b, mid, d), coeff) in h.comul_terms(2)[a]])
 
 
 def check_ayd_compatibility(c: AydCoefficient) -> Report:
@@ -174,11 +174,9 @@ def check_ayd_module(n: AydModuleData) -> Report:
     R = h.right_mult()
     for a in range(h.dim):
         lhs = rho @ act[a]
-        rhs = Matrix.zeros(F, h.dim * dn, dn)
-        for (idx, coeff) in h.comul_terms(2)[a]:
-            b, mid, d = idx
-            first = h.mult_by(h.antipode_of(d), "left") @ R[b]
-            rhs = rhs + (kron(first, act[mid]) @ rho).scale(coeff)
+        rhs = combine(F, h.dim * dn, dn,
+                      [(coeff, kron(h.mult_by(h.antipode_of(d), "left") @ R[b], act[mid]) @ rho)
+                       for ((b, mid, d), coeff) in h.comul_terms(2)[a]])
         rep.compare(
             f"compatibility at basis {a}", lhs, rhs,
             row_dims=(h.dim, dn), col_dims=(dn,),
@@ -205,12 +203,8 @@ def check_stability(c) -> Report:
         d, dn = h.dim, c.dim
         act = c.action.matrices
         # evaluate N (x) H -> N with the right action, after swapping the coaction
-        flat = Matrix.zeros(F, dn, dn * d)
-        for a in range(d):
-            for y in range(dn):
-                col = act[a].col(y)
-                for i in range(dn):
-                    flat.data[i][y * d + a] = col[i]
+        flat = Matrix.from_entries(F, dn, dn * d, [
+            (i, y * d + a, v) for a in range(d) for (i, y, v) in act[a].nonzero_entries()])
         swap = tensor_permutation(F, (d, dn), (1, 0))
         rep.compare("coaction followed by action is the identity",
                     flat @ swap @ c.coaction.coaction,

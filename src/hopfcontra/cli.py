@@ -28,9 +28,9 @@ from .cyclic import (build_cocyclic_complex, build_cyclic_complex,
                      check_module_algebra, check_module_coalgebra,
                      dim_cap, homology_dims, verify_cyclic_relations)
 from .errors import (HopfContraError, ParseError, TaskError, ValidationError)
-from .homconn import (build_ayd_coring, build_dga, check_coring, check_leibniz,
-                      coring_contramodule_equivalence, curvature_and_flatness,
-                      hom_connection_from_contramodule)
+from .homconn import (build_ayd_coring, build_dga, check_coring, check_dimension_cap,
+                      check_leibniz, coring_contramodule_equivalence,
+                      curvature_and_flatness, hom_connection_from_contramodule)
 from .hopf import check_hopf_axioms
 from .report import NOTES, Report
 from .reps import check_comodule, check_contramodule, check_module
@@ -136,6 +136,7 @@ def _run_complex(session: SessionData, task: TaskSpec) -> Report:
 
 def _run_homconn(session: SessionData, task: TaskSpec) -> Report:
     rep = Report("homconn")
+    check_dimension_cap(session.hopf)
     coring = build_ayd_coring(session.hopf)
     rep.extend(check_coring(coring), prefix="coring")
     dga = build_dga(session.hopf)

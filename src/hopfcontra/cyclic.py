@@ -27,11 +27,12 @@ from .ayd import AydCoefficient, AydFlavour, ensure_coefficient_checked
 from .errors import (CharacteristicUnsupported, CompositionNotZero,
                      DimensionCapExceeded, NotEquivariant, PrerequisiteFailed,
                      ShapeMismatch, ValidationError)
-from .exactla import (Matrix, Subspace, kron, quotient_projection,
+from .exactla import (Matrix, Subspace, combine, kron, quotient_projection,
                       rank_kernel_image, rank_of, solve_columns, sparse_kernel,
                       sparse_quotient)
 from .exactla import homology_dims as _middle_homology
-from .hopf import AlgebraData, CoalgebraData, HopfData
+from .hopf import (AlgebraData, CoalgebraData, HopfData, compare_algebra_laws,
+                   compare_coalgebra_laws)
 from .report import Report
 from .reps import ModuleRep, check_module
 
@@ -125,12 +126,10 @@ def build_named_module_algebra(name: str, h: HopfData) -> ModuleAlgebraData:
         return ModuleAlgebraData(algebra, ModuleRep(h, "left", mats))
     if name == "adjoint":
         L = h.left_mult()
-        mats = []
-        for t in range(h.dim):
-            m = Matrix.zeros(F, h.dim, h.dim)
-            for (b, c, coeff) in h.coalgebra.comul_terms()[t]:
-                m = m + (L[b] @ h.mult_by(h.antipode_of(c), "right")).scale(coeff)
-            mats.append(m)
+        mats = [combine(F, h.dim, h.dim,
+                        [(coeff, L[b] @ h.mult_by(h.antipode_of(c), "right"))
+                         for (b, c, coeff) in terms])
+                for terms in h.coalgebra.comul_terms()]
         return ModuleAlgebraData(h.algebra, ModuleRep(h, "left", mats))
     from .errors import UnknownName
     raise UnknownName(f"no bundled module algebra named {name!r}")
@@ -145,17 +144,9 @@ def check_module_coalgebra(c: ModuleCoalgebraData) -> Report:
     dx = c.dim
     com, eps = c.coalgebra.comul, c.coalgebra.counit
     act = c.action.matrices
-    # coalgebra axioms of C itself
-    I_x = Matrix.identity(F, dx)
-    rep.compare("coalgebra coassociativity",
-                kron(com, I_x) @ com, kron(I_x, com) @ com,
-                row_dims=(dx, dx, dx), col_dims=(dx,))
-    rep.compare("coalgebra left counit", kron(eps, I_x) @ com, I_x, col_dims=(dx,))
-    rep.compare("coalgebra right counit", kron(I_x, eps) @ com, I_x, col_dims=(dx,))
+    compare_coalgebra_laws(rep, c.coalgebra)
     for a in range(h.dim):
-        diag = Matrix.zeros(F, dx * dx, dx * dx)
-        for (b, cc, coeff) in h.coalgebra.comul_terms()[a]:
-            diag = diag + kron(act[b], act[cc]).scale(coeff)
+        diag = _diagonal_square(F, dx, act, h.coalgebra.comul_terms()[a])
         rep.compare(f"action commutes with comultiplication at basis {a}",
                     com @ act[a], diag @ com, row_dims=(dx, dx), col_dims=(dx,))
         rep.compare(f"action commutes with counit at basis {a}",
@@ -173,21 +164,21 @@ def check_module_algebra(a: ModuleAlgebraData) -> Report:
     da = a.dim
     mul, unit = a.algebra.mul, a.algebra.unit
     act = a.action.matrices
-    I_a = Matrix.identity(F, da)
-    rep.compare("algebra associativity",
-                mul @ kron(mul, I_a), mul @ kron(I_a, mul),
-                row_dims=(da,), col_dims=(da, da, da))
-    rep.compare("algebra left unit", mul @ kron(unit, I_a), I_a, col_dims=(da,))
-    rep.compare("algebra right unit", mul @ kron(I_a, unit), I_a, col_dims=(da,))
+    compare_algebra_laws(rep, a.algebra)
     for t in range(h.dim):
-        diag = Matrix.zeros(F, da * da, da * da)
-        for (b, cc, coeff) in h.coalgebra.comul_terms()[t]:
-            diag = diag + kron(act[b], act[cc]).scale(coeff)
+        diag = _diagonal_square(F, da, act, h.coalgebra.comul_terms()[t])
         rep.compare(f"action respects products at basis {t}",
                     act[t] @ mul, mul @ diag, row_dims=(da,), col_dims=(da, da))
         rep.compare(f"action respects unit at basis {t}",
                     act[t] @ unit, unit.scale(h.counit.data[0][t]), row_dims=(da,))
     return rep
+
+
+def _diagonal_square(field, dim, act, terms):
+    """The diagonal action h_(1) (x) h_(2) on the tensor square, from the
+    coproduct terms [(b, c, scalar)] of h."""
+    return combine(field, dim * dim, dim * dim,
+                   [(coeff, kron(act[b], act[c])) for (b, c, coeff) in terms])
 
 
 def diagonal_power(action: ModuleRep, k: int):
@@ -579,15 +570,6 @@ def verify_cyclic_relations(cx: CyclicComplexData) -> Report:
     return rep
 
 
-def _alternating_sum(ops):
-    out = ops[0]
-    sign = -1
-    for op in ops[1:]:
-        out = out + op.scale(sign)
-        sign = -sign
-    return out
-
-
 def homology_dims(cx: CyclicComplexData, mode: str = "hochschild"):
     """Homology dimensions in degrees 0 .. max_degree - 1.
 
@@ -599,7 +581,9 @@ def homology_dims(cx: CyclicComplexData, mode: str = "hochschild"):
         raise ShapeMismatch(f"unknown homology mode {mode!r}")
     F = cx.field
     N = cx.max_degree
-    b = {n: _alternating_sum(cx.faces[n]) for n in range(1, N + 1)}
+    b = {n: combine(F, *cx.faces[n][0].shape,
+                    [((-1) ** i, op) for i, op in enumerate(cx.faces[n])])
+         for n in range(1, N + 1)}
     if mode == "hochschild":
         dims0 = [cx.bases[n].dim for n in range(N + 1)]
         return _graded_dims(cx.kind, b, dims0, N)

@@ -9,11 +9,14 @@ behind `sparse_kernel`.  Ranks, kernels, images, solves, inverses and
 quotient projections all read their results off it, and systems that are
 almost all zeros, like the H-linearity constraints of an equivariant hom
 space or the relations of a tensor product over H, are written to it as
-sparse rows directly (`sparse_kernel`, `sparse_quotient`).  Slot
-permutations of small tensor products are applied by reindexing rows
-(`permute_rows`, `tensor_permutation_map`).  The operators of the hom
-complexes are not built here: `cyclic` applies them to sparse basis columns
-and hands over only their restrictions, as dense `Matrix` values.
+sparse rows directly (`sparse_kernel`, `sparse_quotient`).
+
+There is one sum: `combine` adds scaled matrices, visiting only their
+nonzero entries and reducing mod p once.  `+`, `-`, negation and `scale`
+call it, and so does every Sweedler-leg sum of structure operators in the
+other modules.  The operators of the hom complexes are not built here:
+`cyclic` applies them to sparse basis columns and hands over only their
+restrictions, as dense `Matrix` values.
 
 Basis conventions, fixed once and used by every other module:
 
@@ -244,41 +247,16 @@ class Matrix:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
 
     def __add__(self, other):
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} + {other.shape}")
-        p = self.field.p
-        if p is None:
-            data = [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        else:
-            data = [
-                [(a + b) % p for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        return Matrix(self.field, self.rows, self.cols, data)
+        return combine(self.field, self.rows, self.cols, [(1, self), (1, other)])
 
     def __sub__(self, other):
-        return self + (-other)
+        return combine(self.field, self.rows, self.cols, [(1, self), (-1, other)])
 
     def __neg__(self):
-        p = self.field.p
-        if p is None:
-            data = [[-a for a in row] for row in self.data]
-        else:
-            data = [[(-a) % p for a in row] for row in self.data]
-        return Matrix(self.field, self.rows, self.cols, data)
+        return combine(self.field, self.rows, self.cols, [(-1, self)])
 
     def scale(self, scalar):
-        c = self.field.coerce(scalar)
-        p = self.field.p
-        if p is None:
-            data = [[c * a for a in row] for row in self.data]
-        else:
-            data = [[(c * a) % p for a in row] for row in self.data]
-        return Matrix(self.field, self.rows, self.cols, data)
+        return combine(self.field, self.rows, self.cols, [(scalar, self)])
 
     def __matmul__(self, other):
         self._check_same_field(other)
@@ -353,6 +331,41 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, rows, cols, out)
 
 
+def combine(field, rows, cols, terms) -> Matrix:
+    """The sum of c * m over (scalar, Matrix) terms, as a dense rows x cols
+    matrix; with no terms it is the zero matrix.
+
+    Only the nonzero entries of each term are visited, zero scalars are
+    skipped, and sums are reduced mod p once, at the end.  Every entry of the
+    result, zeros included, is in the field's canonical type.
+    """
+    p = field.p
+    acc = [{} for _ in range(rows)]
+    for c, m in terms:
+        if m.field != field:
+            raise FieldMismatch(f"{field!r} vs {m.field!r}")
+        if m.shape != (rows, cols):
+            raise ShapeMismatch(f"{m.shape} in a sum of {rows}x{cols} matrices")
+        c = field.coerce(c)
+        if not c:
+            continue
+        one = c == 1
+        for out, row in zip(acc, m.data):
+            for j, v in enumerate(row):
+                if v:
+                    w = v if one else c * v
+                    out[j] = out[j] + w if j in out else w
+    z = field.zero
+    data = [[z] * cols for _ in range(rows)]
+    for drow, out in zip(data, acc):
+        for j, v in out.items():
+            if p is not None:
+                v %= p
+            if v:
+                drow[j] = v
+    return Matrix(field, rows, cols, data)
+
+
 def split_index(flat, dims):
     """Split a flat tensor index into per-slot digits, left slot major."""
     digits = []
@@ -370,39 +383,20 @@ def tensor_permutation(field, dims, perm) -> Matrix:
     dimensions.  tensor_permutation(F, (a, b), (1, 0)) is the swap
     V(x)W -> W(x)V.
     """
-    new_to_old = tensor_permutation_map(dims, perm)
-    return permute_rows(Matrix.identity(field, len(new_to_old)), new_to_old)
-
-
-def tensor_permutation_map(dims, perm):
-    """Row map of tensor_permutation: new_to_old[flat_out] = flat_in.
-
-    Lets callers apply large slot permutations by row reindexing instead of
-    multiplying by an explicit permutation matrix.
-    """
     k = len(dims)
     if sorted(perm) != list(range(k)):
         raise ShapeMismatch(f"{perm} is not a permutation of 0..{k - 1}")
     total = 1
     for d in dims:
         total *= d
-    out_dims = [dims[perm[s]] for s in range(k)]
-    new_to_old = [0] * total
+    entries = []
     for flat_in in range(total):
         digits = split_index(flat_in, dims)
         flat_out = 0
-        for s in range(k):
-            flat_out = flat_out * out_dims[s] + digits[perm[s]]
-        new_to_old[flat_out] = flat_in
-    return new_to_old
-
-
-def permute_rows(m: Matrix, new_to_old) -> Matrix:
-    """The matrix whose row i is row new_to_old[i] of m."""
-    if len(new_to_old) != m.rows:
-        raise ShapeMismatch(f"row map of length {len(new_to_old)} on {m.rows} rows")
-    data = [list(m.data[old]) for old in new_to_old]
-    return Matrix(m.field, m.rows, m.cols, data)
+        for s in perm:
+            flat_out = flat_out * dims[s] + digits[s]
+        entries.append((flat_out, flat_in, 1))
+    return Matrix.from_entries(field, total, total, entries)
 
 
 @dataclass(frozen=True)
@@ -584,7 +578,5 @@ def sparse_quotient(field, rows, ambient):
     """quotient_projection for the span of sparse {coordinate: scalar} rows
     in k^ambient, with no dense matrix of spanning vectors."""
     _, free, kernel = sparse_kernel(field, rows, ambient)
-    lift = Matrix.zeros(field, ambient, len(free))
-    for k, i in enumerate(free):
-        lift.data[i][k] = field.one
+    lift = Matrix.from_entries(field, ambient, len(free), [(i, k, 1) for k, i in enumerate(free)])
     return len(free), kernel.transpose(), lift

@@ -11,6 +11,11 @@ Hplus, with the degree raising map built from the same twisting.  A
 right-right coefficient induces nabla: Hom(Omega^1, M) -> M; the induced
 pair (nabla1, nabla0) composes to zero exactly when the coefficient is
 compatible, which curvature_and_flatness verifies.
+
+Every structure operator here is a Sweedler-leg sum written as one
+`combine` call over kron products of leg operators.  The largest space
+involved is H (x) H (x) H, and its dimension is checked against the cap
+before anything is built.
 """
 
 from __future__ import annotations
@@ -19,44 +24,40 @@ from dataclasses import dataclass
 
 from .ayd import AydCoefficient, check_ayd_compatibility, ensure_coefficient_checked
 from .ayd import _transport_operator
-from .errors import CounitDegenerate, PrerequisiteFailed
-from .exactla import Matrix, inverse, kron, vstack
+from .cyclic import dim_cap
+from .errors import CounitDegenerate, DimensionCapExceeded, PrerequisiteFailed
+from .exactla import Matrix, combine, inverse, kron, vstack
 from .hopf import HopfData, check_hopf_axioms
 from .report import Report
 from .reps import check_contramodule
 
 
-def _twisted_left_action(h: HopfData):
-    """Operators on H (x) H of h.(u (x) x) = h_(1) u Sinv(h_(3)) (x) h_(2) x."""
-    F = h.field
-    d = h.dim
-    L = h.left_mult()
-    out = []
-    for a in range(d):
-        op = Matrix.zeros(F, d * d, d * d)
-        for (idx, coeff) in h.comul_terms(2)[a]:
-            b, c, dd = idx
-            first = L[b] @ h.mult_by(h.antipode_inv_of(dd), "right")
-            op = op + kron(first, L[c]).scale(coeff)
-        out.append(op)
-    return out
+def check_dimension_cap(h: HopfData):
+    """Refuse H when H (x) H (x) H, the largest space the coring checks and
+    the calculus work on, has a dimension over the cap; nothing is built."""
+    cap = dim_cap()
+    if h.dim ** 3 > cap:
+        raise DimensionCapExceeded(
+            f"threefold tensor power dimension {h.dim ** 3} exceeds the cap {cap}")
 
 
-def _threefold_left_action(h: HopfData):
-    """The same twisting transported to H (x) H (x) H, using five coproduct legs."""
-    F = h.field
-    d = h.dim
+def _twisted_left_action(h: HopfData, n: int):
+    """Operators on H^(x)n of the twisting h.(u (x) x) = h_(1) u Sinv(h_(3)) (x) h_(2) x
+    (n = 2) and its transport to more factors: with the 2n-1 legs of the
+    (2n-2)-fold coproduct, factor i < n-1 is L(leg i) R(Sinv(leg 2n-2-i)) and
+    the last factor is L(leg n-1)."""
     L = h.left_mult()
-    out = []
-    for a in range(d):
-        op = Matrix.zeros(F, d ** 3, d ** 3)
-        for (idx, coeff) in h.comul_terms(4)[a]:
-            b, c, dd, e, f = idx
-            first = L[b] @ h.mult_by(h.antipode_inv_of(f), "right")
-            second = L[c] @ h.mult_by(h.antipode_inv_of(e), "right")
-            op = op + kron(first, kron(second, L[dd])).scale(coeff)
-        out.append(op)
-    return out
+
+    def term(legs):
+        op = L[legs[n - 1]]
+        for i in reversed(range(n - 1)):
+            twist = h.mult_by(h.antipode_inv_of(legs[2 * n - 2 - i]), "right")
+            op = kron(L[legs[i]] @ twist, op)
+        return op
+
+    size = h.dim ** n
+    return [combine(h.field, size, size, [(coeff, term(legs)) for legs, coeff in terms])
+            for terms in h.comul_terms(2 * n - 2)]
 
 
 @dataclass
@@ -82,14 +83,15 @@ class CoringData:
 
 def build_ayd_coring(h: HopfData) -> CoringData:
     """Assemble the coring; the underlying Hopf data must pass its axioms."""
+    check_dimension_cap(h)
     axioms = check_hopf_axioms(h)
     if not axioms.ok:
         raise PrerequisiteFailed(f"hopf axioms fail: {axioms.failures()[0].name}")
     F = h.field
-    d =  h.dim
+    d = h.dim
     R = h.right_mult()
     I_d = Matrix.identity(F, d)
-    left = _twisted_left_action(h)
+    left = _twisted_left_action(h, 2)
     right = [kron(I_d, R[a]) for a in range(d)]
     coproduct = kron(h.comul, I_d)
     counit = kron(h.counit, I_d)
@@ -109,15 +111,9 @@ def check_coring(c: CoringData) -> Report:
     R = h.right_mult()
     I_d = Matrix.identity(F, d)
     I_c = Matrix.identity(F, dc)
-    mulc = h.mul
 
     def combo(ops, i, j):
-        out = Matrix.zeros(F, ops[0].rows, ops[0].cols)
-        for k in range(d):
-            s = mulc.data[k][i * d + j]
-            if s != F.zero:
-                out = out + ops[k].scale(s)
-        return out
+        return combine(F, dc, dc, zip(h.mul.col(i * d + j), ops))
 
     for i in range(d):
         for j in range(d):
@@ -128,17 +124,11 @@ def check_coring(c: CoringData) -> Report:
             rep.compare(f"actions commute at ({i},{j})",
                         c.left_action[i] @ c.right_action[j],
                         c.right_action[j] @ c.left_action[i])
-    unit_l = Matrix.zeros(F, dc, dc)
-    unit_r = Matrix.zeros(F, dc, dc)
-    for k in range(d):
-        s = h.unit.data[k][0]
-        if s != F.zero:
-            unit_l = unit_l + c.left_action[k].scale(s)
-            unit_r = unit_r + c.right_action[k].scale(s)
-    rep.compare("left action unital", unit_l, I_c)
-    rep.compare("right action unital", unit_r, I_c)
+    unit = h.unit.col(0)
+    rep.compare("left action unital", combine(F, dc, dc, zip(unit, c.left_action)), I_c)
+    rep.compare("right action unital", combine(F, dc, dc, zip(unit, c.right_action)), I_c)
 
-    three = _threefold_left_action(h)
+    three = _twisted_left_action(h, 3)
     for a in range(d):
         rep.compare(f"counit left linear at basis {a}",
                     c.counit @ c.left_action[a], L[a] @ c.counit)
@@ -165,6 +155,19 @@ def check_coring(c: CoringData) -> Report:
     return rep
 
 
+def _matrix_unit(field, rows, cols, i, j):
+    return Matrix.from_entries(field, rows, cols, [(i, j, 1)])
+
+
+def _block_sum(field, rows, cols, entries, rho, dm):
+    """Sum of c * kron(E_ij, rho[v]) over entries (i, j, v, c), E_ij the
+    rows x cols matrix unit: block (i, j) gains c times the action matrix
+    rho[v] on the dm dimensional coefficient."""
+    return combine(field, rows * dm, cols * dm,
+                   [(c, kron(_matrix_unit(field, rows, cols, i, j), rho[v]))
+                    for i, j, v, c in entries])
+
+
 def _identified_right_action(coring: CoringData, m: AydCoefficient):
     """Per basis a, the operator on Hom(H, M) of the coring-induced right
     action (f.h)(h') = f(h.(h' (x) 1)), read through f(u (x) x) = f(u).x."""
@@ -172,22 +175,12 @@ def _identified_right_action(coring: CoringData, m: AydCoefficient):
     F = h.field
     d, dm = h.dim, m.dim
     emb = kron(Matrix.identity(F, d), h.unit)
-    rho = m.action.matrices
     out = []
     for a in range(d):
         restricted = coring.left_action[a] @ emb
-        op = Matrix.zeros(F, d * dm, d * dm)
-        for (row, hp, coeff) in restricted.nonzero_entries():
-            u, v = divmod(row, d)
-            block = rho[v]
-            for mp in range(dm):
-                orow = op.data[hp * dm + mp]
-                brow = block.data[mp]
-                for mm in range(dm):
-                    if brow[mm] != F.zero:
-                        acc = orow[u * dm + mm] + coeff * brow[mm]
-                        orow[u * dm + mm] = acc if F.p is None else acc % F.p
-        out.append(op)
+        out.append(_block_sum(F, d, d, [(hp, *divmod(row, d), coeff)
+                                        for (row, hp, coeff) in restricted.nonzero_entries()],
+                              m.action.matrices, dm))
     return out
 
 
@@ -253,6 +246,7 @@ def build_dga(h: HopfData) -> DgaData:
     PrerequisiteFailed when the underlying structure is not a Hopf algebra
     or the degree raising maps escape the counit kernel.
     """
+    check_dimension_cap(h)
     F = h.field
     d = h.dim
     eps = h.counit
@@ -267,40 +261,23 @@ def build_dga(h: HopfData) -> DgaData:
     if not axioms.ok:
         raise PrerequisiteFailed(f"hopf axioms fail: {axioms.failures()[0].name}")
     dplus = d - 1
-    piv_val = eps.data[0][pivot]
-    cols = []
-    for i in range(d):
-        if i == pivot:
-            continue
-        w = [F.zero] * d
-        w[i] = F.one
-        ratio = eps.data[0][i] * F.invert(piv_val)
-        if F.p is not None:
-            ratio = ratio % F.p
-        w[pivot] = -ratio if F.p is None else (-ratio) % F.p
-        cols.append(w)
-    incl = Matrix(F, d, dplus, [[cols[k][i] for k in range(dplus)] for i in range(d)])
-    full_cols = [list(c) for c in cols]
-    full_cols.append([F.one if i == pivot else F.zero for i in range(d)])
-    w_full = Matrix(F, d, d, [[full_cols[k][i] for k in range(d)] for i in range(d)])
-    w_inv = inverse(w_full)
+    # column k of incl is e_i - (eps(e_i) / eps(e_pivot)) e_pivot, i the k-th other index
+    inv_piv = F.invert(eps.data[0][pivot])
+    others = [i for i in range(d) if i != pivot]
+    cols = ([(i, k, 1) for k, i in enumerate(others)]
+            + [(pivot, k, -eps.data[0][i] * inv_piv) for k, i in enumerate(others)])
+    incl = Matrix.from_entries(F, d, dplus, cols)
+    w_inv = inverse(Matrix.from_entries(F, d, d, cols + [(pivot, dplus, 1)]))
     proj_w = Matrix(F, dplus, d, [list(w_inv.data[k]) for k in range(dplus)])
     I_d = Matrix.identity(F, d)
     proj_plus = proj_w @ (I_d - h.unit @ eps)
 
     # T(h) = h_(1) Sinv(h_(3)) (x) h_(2), the twisted part of the differential
-    T = Matrix.zeros(F, d * d, d)
     L = h.left_mult()
-    for a in range(d):
-        for (idx, coeff) in h.comul_terms(2)[a]:
-            b, c, dd = idx
-            prod = h.mult_by(h.antipode_inv_of(dd), "right") @ L[b] @ h.unit
-            for u in range(d):
-                v = prod.data[u][0]
-                if v != F.zero:
-                    cur = T.data[u * d + c][a]
-                    T.data[u * d + c][a] = cur + coeff * v if F.p is None \
-                        else (cur + coeff * v) % F.p
+    T = combine(F, d * d, d, [
+        (coeff, kron(h.mult_by(h.antipode_inv_of(dd), "right") @ L[b] @ h.unit,
+                     _matrix_unit(F, d, d, c, a)))
+        for a, terms in enumerate(h.comul_terms(2)) for ((b, c, dd), coeff) in terms])
     raw0 = kron(h.unit, I_d) - T
     if not (kron(eps, I_d) @ raw0).is_zero():
         raise PrerequisiteFailed("degree one image escapes the counit kernel")
@@ -322,7 +299,7 @@ def build_dga(h: HopfData) -> DgaData:
     if not (d1 @ d0).is_zero():
         raise PrerequisiteFailed("the degree raising maps do not compose to zero")
 
-    twisted = _twisted_left_action(h)
+    twisted = _twisted_left_action(h, 2)
     omega1_act = []
     for a in range(d):
         restricted = twisted[a] @ kron(incl, I_d)
@@ -349,21 +326,9 @@ def _evaluate_form(field, coords, blocks, d, right_mats, dm):
     coords is a vector over (plus-power, H) with the H leg minor; blocks is
     the number of plus-power basis elements.
     """
-    out = Matrix.zeros(field, dm, blocks * dm)
-    for idx in range(len(coords)):
-        v = coords[idx]
-        if v == field.zero:
-            continue
-        w, c = divmod(idx, d)
-        block = right_mats[c]
-        for mp in range(dm):
-            orow = out.data[mp]
-            brow = block.data[mp]
-            for mm in range(dm):
-                if brow[mm] != field.zero:
-                    acc = orow[w * dm + mm] + v * brow[mm]
-                    orow[w * dm + mm] = acc if field.p is None else acc % field.p
-    return out
+    return _block_sum(field, 1, blocks,
+                      [(0, *divmod(idx, d), v) for idx, v in enumerate(coords) if v],
+                      right_mats, dm)
 
 
 def hom_connection_from_contramodule(m: AydCoefficient, dga: DgaData,
@@ -392,8 +357,7 @@ def hom_connection_from_contramodule(m: AydCoefficient, dga: DgaData,
     rho = m.action.matrices
     rows = []
     for i in range(dplus):
-        slicer = kron(Matrix.row(F, [F.one if k == i else F.zero for k in range(dplus)]),
-                      Matrix.identity(F, dplus * dm))
+        slicer = kron(_matrix_unit(F, 1, dplus, 0, i), Matrix.identity(F, dplus * dm))
         evaluated = _evaluate_form(F, d1_on_units.col(i), dplus * dplus, d, rho, dm)
         rows.append(nabla0 @ slicer + evaluated)
     nabla1 = vstack(rows)
@@ -414,17 +378,9 @@ def check_leibniz(hc: HomConnectionData) -> Report:
     emb1 = kron(Matrix.identity(F, dplus), h.unit)
     for a in range(d):
         restricted = dga.omega1_act[a] @ emb1
-        act_op = Matrix.zeros(F, dplus * dm, dplus * dm)
-        for (row, w, coeff) in restricted.nonzero_entries():
-            wp, v = divmod(row, d)
-            block = rho[v]
-            for mp in range(dm):
-                orow = act_op.data[w * dm + mp]
-                brow = block.data[mp]
-                for mm in range(dm):
-                    if brow[mm] != F.zero:
-                        acc = orow[wp * dm + mm] + coeff * brow[mm]
-                        orow[wp * dm + mm] = acc if F.p is None else acc % F.p
+        act_op = _block_sum(F, dplus, dplus, [(w, *divmod(row, d), coeff)
+                                              for (row, w, coeff) in restricted.nonzero_entries()],
+                            rho, dm)
         evaluated = _evaluate_form(F, dga.d0.col(a), dplus, d, rho, dm)
         rep.compare(f"leibniz rule at basis {a}",
                     hc.nabla0 @ act_op, rho[a] @ hc.nabla0 + evaluated,

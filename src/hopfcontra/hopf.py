@@ -5,16 +5,19 @@ coefficient of e_k in e_i e_j; comultiplication is comul: H -> H (x) H with
 comul[j*dim + k, i] the coefficient of e_j (x) e_k in the coproduct of e_i.
 Unit is a column, counit a row, antipode and its inverse square matrices.
 
-Structure constants enter as sparse triples (i, j, k, scalar); everything is
-stored densely.  Iterated coproducts and one-sided multiplication operators
-are cached on the object after first use.
+Structure constants enter as sparse triples (i, j, k, scalar); the structure
+matrices are stored densely.  Iterated coproducts are kept only as sparse
+terms (`comul_terms`), each one expanding the first leg of the one before;
+they and the one-sided multiplication operators are cached on the object
+after first use.  The algebra and coalgebra law verdicts are written once
+(`compare_algebra_laws`, `compare_coalgebra_laws`) and shared with the
+module (co)algebra checks.
 """
 
 from __future__ import annotations
 
 from .errors import CharacteristicClash, ShapeMismatch, UnknownName
-from .exactla import (FieldSpec, Matrix, inverse, kron, permute_rows, split_index,
-                      tensor_permutation, tensor_permutation_map)
+from .exactla import FieldSpec, Matrix, combine, inverse, kron, tensor_permutation
 from .report import Report
 
 
@@ -114,12 +117,7 @@ class AlgebraData:
     def mult_by(self, coords, side):
         """Multiplication operator by the element with the given coordinates."""
         ops = self.left_mult() if side == "left" else self.right_mult()
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        zero = self.field.zero
-        for idx, c in enumerate(coords):
-            if c != zero:
-                out = out + ops[idx].scale(c)
-        return out
+        return combine(self.field, self.dim, self.dim, zip(coords, ops))
 
 
 class HopfData:
@@ -174,32 +172,29 @@ class HopfData:
     def mult_by(self, coords, side):
         return self.algebra.mult_by(coords, side)
 
-    def iterated_comul(self, k):
-        """Matrix of the k-fold coproduct H -> H^(x)(k+1); k = 0 is the identity."""
-        key = ("itcomul", k)
+    def comul_terms(self, k=1):
+        """Per basis index, the sparse terms of the k-fold coproduct
+        H -> H^(x)(k+1) as [(index tuple of length k+1, scalar)], sorted by
+        index tuple; k = 0 is the identity.  Each k expands the first leg of
+        the (k-1)-fold terms by the coproduct."""
+        key = ("terms", k)
         if key not in self._cache:
             if k < 0:
                 raise ValueError("negative coproduct iteration")
+            F = self.field
             if k == 0:
-                out = Matrix.identity(self.field, self.dim)
+                terms = [[((i,), F.one)] for i in range(self.dim)]
             else:
-                prev = self.iterated_comul(k - 1)
-                d = self.dim
-                # (comul (x) id^(k-1)) applied after the previous stage
-                out = kron(self.comul, Matrix.identity(self.field, d ** (k - 1))) @ prev
-            self._cache[key] = out
-        return self._cache[key]
-
-    def comul_terms(self, k=1):
-        """Per basis index, sparse terms of the k-fold coproduct as
-        [(index tuple of length k+1, scalar)]."""
-        key = ("terms", k)
-        if key not in self._cache:
-            mat = self.iterated_comul(k)
-            d = self.dim
-            terms = [[] for _ in range(d)]
-            for (row, i, c) in mat.nonzero_entries():
-                terms[i].append((tuple(split_index(row, (d,) * (k + 1))), c))
+                first = self.coalgebra.comul_terms()
+                terms = []
+                for prev in self.comul_terms(k - 1):
+                    acc = {}
+                    for idx, c in prev:
+                        for j, l, c2 in first[idx[0]]:
+                            legs = (j, l) + idx[1:]
+                            acc[legs] = acc.get(legs, 0) + c * c2
+                    acc = {legs: F.coerce(v) for legs, v in acc.items()}
+                    terms.append(sorted((legs, v) for legs, v in acc.items() if v))
             self._cache[key] = terms
         return self._cache[key]
 
@@ -216,6 +211,34 @@ def antipode_inverse(antipode: Matrix) -> Matrix:
     return inverse(antipode)
 
 
+def compare_algebra_laws(rep: Report, a: AlgebraData):
+    """Add the associativity and unit verdicts of an algebra to rep."""
+    d = a.dim
+    I = Matrix.identity(a.field, d)
+    mul, unit = a.mul, a.unit
+    rep.compare(
+        "algebra associativity",
+        mul @ kron(mul, I), mul @ kron(I, mul),
+        row_dims=(d,), col_dims=(d, d, d),
+    )
+    rep.compare("algebra left unit", mul @ kron(unit, I), I, col_dims=(d,))
+    rep.compare("algebra right unit", mul @ kron(I, unit), I, col_dims=(d,))
+
+
+def compare_coalgebra_laws(rep: Report, c: CoalgebraData):
+    """Add the coassociativity and counit verdicts of a coalgebra to rep."""
+    d = c.dim
+    I = Matrix.identity(c.field, d)
+    com, eps = c.comul, c.counit
+    rep.compare(
+        "coalgebra coassociativity",
+        kron(com, I) @ com, kron(I, com) @ com,
+        row_dims=(d, d, d), col_dims=(d,),
+    )
+    rep.compare("coalgebra left counit", kron(eps, I) @ com, I, col_dims=(d,))
+    rep.compare("coalgebra right counit", kron(I, eps) @ com, I, col_dims=(d,))
+
+
 def check_hopf_axioms(h: HopfData) -> Report:
     """Verify every Hopf axiom, including the co-opposite axiom for the
     declared antipode inverse.  Each verdict carries a witness on failure."""
@@ -226,25 +249,16 @@ def check_hopf_axioms(h: HopfData) -> Report:
     mul, unit, com, eps = h.mul, h.unit, h.comul, h.counit
     S, Sinv = h.antipode, h.antipode_inv
 
-    rep.compare(
-        "algebra associativity",
-        mul @ kron(mul, I), mul @ kron(I, mul),
-        row_dims=(d,), col_dims=(d, d, d),
-    )
-    rep.compare("algebra left unit", mul @ kron(unit, I), I, col_dims=(d,))
-    rep.compare("algebra right unit", mul @ kron(I, unit), I, col_dims=(d,))
-
-    rep.compare(
-        "coalgebra coassociativity",
-        kron(com, I) @ com, kron(I, com) @ com,
-        row_dims=(d, d, d), col_dims=(d,),
-    )
-    rep.compare("coalgebra left counit", kron(eps, I) @ com, I, col_dims=(d,))
-    rep.compare("coalgebra right counit", kron(I, eps) @ com, I, col_dims=(d,))
+    compare_algebra_laws(rep, h.algebra)
+    compare_coalgebra_laws(rep, h.coalgebra)
 
     # Bialgebra: comul and counit are algebra maps.
-    # the middle legs swapped by reindexing rows, not by a d^4 x d^4 matrix
-    mid_swapped = permute_rows(kron(com, com), tensor_permutation_map((d, d, d, d), (0, 2, 1, 3)))
+    # (comul (x) comul) with its middle legs swapped, written from the terms
+    terms = h.coalgebra.comul_terms()
+    mid_swapped = Matrix.from_entries(F, d ** 4, d * d, [
+        (((a * d + c) * d + b) * d + e, i * d + j, v * w)
+        for i in range(d) for j in range(d)
+        for (a, b, v) in terms[i] for (c, e, w) in terms[j]])
     rep.compare(
         "comultiplication multiplicative",
         com @ mul, kron(mul, mul) @ mid_swapped,

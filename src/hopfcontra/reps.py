@@ -12,7 +12,7 @@ coalgebra, which is the same axiom after rewiring the currying step.
 from __future__ import annotations
 
 from .errors import InvalidComodule, ShapeMismatch
-from .exactla import Matrix, kron
+from .exactla import Matrix, combine, kron
 from .hopf import CoalgebraData, HopfData
 from .report import Report
 
@@ -117,21 +117,13 @@ def check_module(r: ModuleRep) -> Report:
     terms_of = h.algebra.mul
     for a in range(d):
         for b in range(d):
-            combo = Matrix.zeros(F, r.dim, r.dim)
-            for k in range(d):
-                c = terms_of.data[k][a * d + b]
-                if c != F.zero:
-                    combo = combo + mats[k].scale(c)
+            combo = combine(F, r.dim, r.dim, zip(terms_of.col(a * d + b), mats))
             if r.side == "left":
                 lhs = mats[a] @ mats[b]
             else:
                 lhs = mats[b] @ mats[a]
             rep.compare(f"associativity at basis pair ({a},{b})", lhs, combo)
-    acted = Matrix.zeros(F, r.dim, r.dim)
-    for a in range(d):
-        c = unit.data[a][0]
-        if c != F.zero:
-            acted = acted + mats[a].scale(c)
+    acted = combine(F, r.dim, r.dim, zip(unit.col(0), mats))
     rep.compare("unit acts as identity", acted, ident)
     return rep
 
@@ -200,15 +192,14 @@ def dualize_comodule(n: ComoduleRep) -> ContraRep:
     h = n.hopf
     F, d, dn = n.field, h.dim, n.dim
     coalgebra = h.coalgebra
-    R = n.coaction
-    alpha = Matrix.zeros(F, dn, d * dn)
-    if n.side == "left":
-        # alpha(f)(x) = sum over rho(x) = c (x) y of f(c)(y)
-        for (row, x, coeff) in R.nonzero_entries():
+    # alpha(f)(x) = sum over rho(x) = c (x) y, or y (x) c on the right, of f(c)(y)
+    left = n.side == "left"
+    entries = []
+    for (row, x, coeff) in n.coaction.nonzero_entries():
+        if left:
             c, y = divmod(row, dn)
-            alpha.data[x][c * dn + y] = coeff
-        return ContraRep(coalgebra, "right", alpha)
-    for (row, x, coeff) in R.nonzero_entries():
-        y, c = divmod(row, d)
-        alpha.data[x][c * dn + y] = coeff
-    return ContraRep(coalgebra, "left", alpha)
+        else:
+            y, c = divmod(row, d)
+        entries.append((x, c * dn + y, coeff))
+    alpha = Matrix.from_entries(F, dn, d * dn, entries)
+    return ContraRep(coalgebra, "right" if left else "left", alpha)

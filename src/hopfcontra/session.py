@@ -135,7 +135,7 @@ def _scalar_list(field, value, n, path):
 def _sparse_matrix(field, rows, cols, value, path):
     """Entries as [row, col, scalar] triples; repeated positions accumulate."""
     entries = _as_list(value, path)
-    m = Matrix.zeros(field, rows, cols)
+    acc = {}
     for k, entry in enumerate(entries):
         epath = f"{path}[{k}]"
         row = _as_list(entry, epath)
@@ -144,9 +144,8 @@ def _sparse_matrix(field, rows, cols, value, path):
         i = _as_index(row[0], rows, f"{epath}[0]")
         j = _as_index(row[1], cols, f"{epath}[1]")
         s = _as_scalar(field, row[2], f"{epath}[2]")
-        acc = m.data[i][j] + s
-        m.data[i][j] = acc if field.p is None else acc % field.p
-    return m
+        acc[i, j] = acc.get((i, j), 0) + s
+    return Matrix.from_entries(field, rows, cols, [(i, j, v) for (i, j), v in acc.items()])
 
 
 def _structure_triples(field, dim, value, path):
@@ -168,7 +167,7 @@ def _structure_triples(field, dim, value, path):
 def _action_matrices(field, dh, rows, cols, value, path):
     """Entries as [hopf index, row, col, scalar]; one matrix per Hopf basis."""
     entries = _as_list(value, path)
-    mats = [Matrix.zeros(field, rows, cols) for _ in range(dh)]
+    accs = [{} for _ in range(dh)]
     for k, entry in enumerate(entries):
         epath = f"{path}[{k}]"
         row = _as_list(entry, epath)
@@ -178,9 +177,9 @@ def _action_matrices(field, dh, rows, cols, value, path):
         i = _as_index(row[1], rows, f"{epath}[1]")
         j = _as_index(row[2], cols, f"{epath}[2]")
         s = _as_scalar(field, row[3], f"{epath}[3]")
-        acc = mats[a].data[i][j] + s
-        mats[a].data[i][j] = acc if field.p is None else acc % field.p
-    return mats
+        accs[a][i, j] = accs[a].get((i, j), 0) + s
+    return [Matrix.from_entries(field, rows, cols, [(i, j, v) for (i, j), v in acc.items()])
+            for acc in accs]
 
 
 def _parse_field(value, path):

@@ -5,15 +5,28 @@ sparse basis columns and never builds one at ambient size.  The routes here
 build each operator as a full matrix on Hom(X, M): precomposition with a map
 g is kron(g^T, I_M), and the contramodule map is reached through a dense
 rotation of the tensor legs, a re-currying permutation and kron(I, alpha).  The hom bimodule of a module algebra, whose
-right action takes the same route, lives here too.
+right action takes the same route, lives here too, and so does the dense
+iterated coproduct that `HopfData.comul_terms` computes sparsely.
 """
 
 from hopfcontra.ayd import ensure_coefficient_checked
 from hopfcontra.cyclic import check_module_algebra
 from hopfcontra.errors import PrerequisiteFailed
-from hopfcontra.exactla import (Matrix, kron, permute_rows, split_index,
-                                tensor_permutation_map)
+from hopfcontra.exactla import Matrix, kron, split_index
 from hopfcontra.report import Report
+
+
+def iterated_comul(h, k):
+    """Matrix of the k-fold coproduct H -> H^(x)(k+1); k = 0 is the identity.
+
+    Each step expands the last leg, (comul^(k-1) (x) id) . comul, which by
+    coassociativity equals the package's first-leg expansion, and keeps every
+    intermediate matrix at d^(k+1) x d^2 cells at most.
+    """
+    out = Matrix.identity(h.field, h.dim)
+    for _ in range(k):
+        out = kron(out, Matrix.identity(h.field, h.dim)) @ h.comul
+    return out
 
 
 def hom_precompose(g, dm):
@@ -24,7 +37,12 @@ def hom_precompose(g, dm):
 def alpha_route(alpha, w, dh, dxp, dm):
     """Hom(X, M) -> Hom(X', M) sending f to xi -> alpha(h -> f(w(h (x) xi)))."""
     pre = hom_precompose(w, dm)
-    curried = permute_rows(pre, tensor_permutation_map((dh, dxp, dm), (1, 0, 2)))
+    # re-curry Hom(H (x) X', M) to Hom(X', Hom(H, M)): row (h, x, m) moves to (x, h, m)
+    rows = [None] * pre.rows
+    for old in range(pre.rows):
+        h, x, s = split_index(old, (dh, dxp, dm))
+        rows[(x * dh + h) * dm + s] = pre.data[old]
+    curried = Matrix(pre.field, pre.rows, pre.cols, rows)
     return kron(Matrix.identity(alpha.field, dxp), alpha) @ curried
 
 

@@ -5,7 +5,8 @@ generators: g^n = 1, x^n = 0, x g = q g x, with g grouplike and
 Delta(x) = x (x) 1 + g (x) x.  Its basis element g^a x^b has index a*n + b.
 `relabelled_session` writes a named example's constants under a permuted
 basis, so that no index (the unit's, the grouplikes') sits where the
-bundled examples put it.
+bundled examples put it.  `cyclic_group_session` writes the group algebra
+of Z/n out in full, with a homconn task for the trivial rr coefficient.
 """
 
 from fractions import Fraction
@@ -114,3 +115,14 @@ def relabelled_session(name, perm, character, sigma, max_degree):
             "antipode": antipode}
     return _session(None, hopf, _lr_coefficient(moved(character), perm[sigma], None),
                     max_degree)
+
+
+def cyclic_group_session(p, n):
+    """k[Z/n] over GF(p) with explicit constants, and a homconn task."""
+    hopf = {"dim": n, "mul": [[i, j, (i + j) % n, 1] for i in range(n) for j in range(n)],
+            "unit": [1] + [0] * (n - 1), "comul": [[i, i, i, 1] for i in range(n)],
+            "counit": [1] * n, "antipode": [[(-i) % n, i, 1] for i in range(n)]}
+    return {"field": _field_doc(p), "hopf": hopf,
+            "coefficients": [{"id": "k", "kind": "contramodule", "flavour": "rr",
+                              "name": "trivial"}],
+            "tasks": [{"task": "homconn", "coefficient": "k"}]}

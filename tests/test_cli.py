@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import resource
 import runpy
 import shutil
 import subprocess
@@ -13,6 +14,8 @@ from click.testing import CliRunner
 from hopfcontra import cli
 from hopfcontra.cli import main
 from hopfcontra.session import load_session
+
+from explicit_hopf import cyclic_group_session
 
 ROOT = Path(__file__).resolve().parent.parent
 SESSIONS = ROOT / "sessions"
@@ -184,6 +187,40 @@ def test_dimension_cap_from_the_environment(monkeypatch):
                           "exceeds the cap 10 (task 2: build-cyclic [k])\n")
     monkeypatch.setenv("HOPFCONTRA_DIM_CAP", "")
     assert _invoke(["report", SESSIONS / "c2_trivial.session"]).exit_code == 0
+
+
+def test_homconn_cap_is_checked_before_the_coring(monkeypatch):
+    # dim H ** 3 = 64 for H4 is refused from the shape alone
+    monkeypatch.setenv("HOPFCONTRA_DIM_CAP", "63")
+
+    def unreachable(*args):
+        raise AssertionError("build_ayd_coring ran before the cap check")
+
+    monkeypatch.setattr(cli, "build_ayd_coring", unreachable)
+    res = _invoke(["report", SESSIONS / "h4_homconn.session"])
+    assert res.exit_code == 5
+    assert res.stderr == ("task error: DimensionCapExceeded: threefold tensor power "
+                          "dimension 64 exceeds the cap 63 (task 2: homconn [evg])\n")
+    monkeypatch.undo()
+    monkeypatch.setenv("HOPFCONTRA_DIM_CAP", "64")
+    assert _invoke(["report", SESSIONS / "h4_homconn.session"]).exit_code == 0
+
+
+def test_homconn_on_an_eight_dimensional_group_algebra_fits_in_512_mb(tmp_path):
+    # the threefold action of k[Z/8] is 512 x 512; a dense iterated
+    # coproduct would need kron(comul, I_512) at 32768 x 4096 cells
+    session = tmp_path / "c8.session"
+    session.write_text(json.dumps(cyclic_group_session(7, 8)))
+    limit = 512 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "hopfcontra", "report", str(session)],
+                          capture_output=True, text=True, timeout=30,
+                          env=_checkout_env(), preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert "pass coefficient k: curvature vanishes" in proc.stdout.splitlines()
 
 
 def test_task_errors_name_task_and_coefficient(tmp_path):

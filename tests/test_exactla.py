@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcontra.errors import (CompositionNotZero, FieldMismatch, ShapeMismatch,
                                Singular)
-from hopfcontra.exactla import (GF, QQ, Matrix, homology_dims, hstack,
-                                inverse, kron, permute_rows,
-                                quotient_projection, rank_kernel_image, rank_of,
-                                solve_columns, sparse_kernel,
-                                tensor_permutation, tensor_permutation_map,
+from hopfcontra.exactla import (GF, QQ, Matrix, combine, homology_dims, hstack,
+                                inverse, kron, quotient_projection,
+                                rank_kernel_image, rank_of, solve_columns,
+                                sparse_kernel, split_index, tensor_permutation,
                                 vstack)
 
 import oracles
@@ -162,12 +161,66 @@ def test_tensor_permutation_relabels_indices():
 
 @settings(max_examples=30)
 @given(st.permutations([0, 1, 2]))
-def test_tensor_permutation_map_agrees_with_matrix(perm):
+def test_tensor_permutation_agrees_with_slot_relabelling(perm):
     dims3 = (2, 3, 2)
     mat = tensor_permutation(QQ, dims3, tuple(perm))
-    rowmap = tensor_permutation_map(dims3, tuple(perm))
-    ident = Matrix.identity(QQ, 12)
-    assert permute_rows(ident, rowmap) == mat
+    for flat_in in range(12):
+        digits = split_index(flat_in, dims3)
+        out = [digits[s] for s in perm]
+        flat_out = (out[0] * dims3[perm[1]] + out[1]) * dims3[perm[2]] + out[2]
+        assert mat.col(flat_in) == [Fraction(int(i == flat_out)) for i in range(12)]
+    with pytest.raises(ShapeMismatch):
+        tensor_permutation(QQ, dims3, (0, 0, 1))
+
+
+def _mostly_zero(scalars, zero):
+    return st.integers(0, 3).flatmap(lambda k: scalars if k == 0 else st.just(zero))
+
+
+def _fold(field, rows, cols, terms):
+    """The old dense route: start from zeros, then add each term scaled."""
+    out = Matrix.zeros(field, rows, cols).data
+    for c, m in terms:
+        c = field.coerce(c)
+        for i in range(rows):
+            for j in range(cols):
+                v = out[i][j] + c * m.data[i][j]
+                out[i][j] = v if field.p is None else v % field.p
+    return out
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([QQ, F7]), dims, dims, st.data())
+def test_combine_matches_dense_fold(field, r, c, data):
+    if field == QQ:
+        entries, scalars = _mostly_zero(q_scalars, Fraction(0)), q_scalars
+    else:
+        entries, scalars = _mostly_zero(st.integers(0, 6), 0), st.integers(-9, 9)
+    matrix = st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
+    terms = data.draw(st.lists(st.tuples(scalars, matrix.map(
+        lambda rows: Matrix(field, r, c, rows))), max_size=4))
+    # cancellation: a term and its negative
+    if terms and data.draw(st.booleans()):
+        terms.append((-field.coerce(terms[0][0]), terms[0][1]))
+    got = combine(field, r, c, terms)
+    assert got.shape == (r, c)
+    assert got.data == _fold(field, r, c, terms)
+    canonical = Fraction if field == QQ else int
+    assert all(type(v) is canonical for row in got.data for v in row)
+    if field == F7:
+        assert all(0 <= v < 7 for row in got.data for v in row)
+
+
+def test_combine_checks_shape_and_field():
+    a = Matrix.identity(QQ, 2)
+    with pytest.raises(ShapeMismatch):
+        combine(QQ, 2, 3, [(1, a)])
+    with pytest.raises(FieldMismatch):
+        combine(F7, 2, 2, [(1, a)])
+    with pytest.raises(ShapeMismatch):
+        a + Matrix.identity(QQ, 3)
+    with pytest.raises(FieldMismatch):
+        a - Matrix.identity(F7, 2)
 
 
 def test_stacking():

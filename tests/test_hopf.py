@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -5,8 +6,13 @@ from fractions import Fraction
 import pytest
 
 from hopfcontra.errors import CharacteristicClash, UnknownName
-from hopfcontra.exactla import GF, QQ, Matrix, tensor_permutation
-from hopfcontra.hopf import HopfData, build_named_example, check_hopf_axioms
+from hopfcontra.exactla import GF, QQ, Matrix, split_index, tensor_permutation
+from hopfcontra.hopf import (AlgebraData, CoalgebraData, HopfData,
+                             build_named_example, check_hopf_axioms)
+from hopfcontra.session import load_session
+
+from dense_routes import iterated_comul
+from explicit_hopf import taft_session
 
 NAMED = ("trivial", "group_C2", "group_C3", "sweedler_H4")
 
@@ -64,10 +70,47 @@ def test_sweedler_coproduct_terms(h4):
 
 
 def test_iterated_comul_shapes(h4):
-    assert h4.iterated_comul(1).shape == (16, 4)
-    assert h4.iterated_comul(3).shape == (256, 4)
-    for (idx, _) in h4.comul_terms(4)[0]:
-        assert len(idx) == 5
+    assert h4.comul_terms(0) == [[((i,), Fraction(1))] for i in range(4)]
+    for k in range(1, 5):
+        terms = h4.comul_terms(k)
+        assert len(terms) == 4
+        for per_basis in terms:
+            assert per_basis
+            assert all(len(idx) == k + 1 and max(idx) < 4 for idx, _ in per_basis)
+    with pytest.raises(ValueError):
+        h4.comul_terms(-1)
+
+
+def _c2_in_basis_one_and_one_plus_g():
+    # e1 = 1 + g: Delta(e1) = 2 e0e0 - e0e1 - e1e0 + e1e1, so expanding the
+    # first leg of Delta(e1) cancels the term e0e0e0
+    one = QQ.one
+    algebra = AlgebraData.from_triples(
+        QQ, 2, [(0, 0, 0, one), (0, 1, 1, one), (1, 0, 1, one), (1, 1, 1, 2)], [1, 0])
+    coalgebra = CoalgebraData.from_triples(
+        QQ, 2, [(0, 0, 0, one), (1, 0, 0, 2), (1, 0, 1, -1), (1, 1, 0, -1), (1, 1, 1, one)],
+        [1, 2])
+    ident = Matrix.identity(QQ, 2)
+    return HopfData(algebra, coalgebra, ident, ident)
+
+
+def test_comul_terms_match_dense_iterated_coproduct(tmp_path):
+    path = tmp_path / "taft.session"
+    path.write_text(json.dumps(taft_session(7, 3, 2, 1)))
+    cases = [build_named_example(name, field) for name in NAMED for field in (QQ, GF(7))]
+    cases.append(load_session(path).hopf)
+    cancelling = _c2_in_basis_one_and_one_plus_g()
+    assert check_hopf_axioms(cancelling).ok
+    assert ((0, 0, 0), Fraction(0)) not in cancelling.comul_terms(2)[1]
+    cases.append(cancelling)
+    for h in cases:
+        d = h.dim
+        for k in range(5):
+            dense = iterated_comul(h, k)
+            want = [[] for _ in range(d)]
+            for row, i, v in dense.nonzero_entries():
+                want[i].append((tuple(split_index(row, (d,) * (k + 1))), v))
+            assert h.comul_terms(k) == want, (d, h.field, k)
 
 
 def _mutated_copy(h, rng):
