@@ -28,7 +28,7 @@ from .exactla import Matrix, combine, kron, tensor_permutation, vstack
 from .hopf import HopfData
 from .report import Report
 from .reps import (ComoduleRep, ContraRep, ModuleRep, check_comodule,
-                   check_contramodule, check_module, dualize_comodule)
+                   check_contramodule, check_module, counit_module, dualize_comodule)
 
 _FLAVOURS = ("ll", "lr", "rl", "rr")
 
@@ -230,13 +230,8 @@ def dualize_ayd_module(n: AydModuleData) -> AydCoefficient:
 
 def build_trivial_coefficient(h: HopfData, flavour: AydFlavour) -> AydCoefficient:
     """One dimensional coefficient: the counit action and evaluation at 1."""
-    eps = h.counit
-    unit = h.unit
-    action = ModuleRep(h, flavour.module_side,
-                       [Matrix.from_rows(h.field, [[eps.data[0][a]]]) for a in range(h.dim)])
-    alpha = ContraRep(h.coalgebra, flavour.contra_side,
-                      Matrix.from_rows(h.field, [[unit.data[a][0] for a in range(h.dim)]]))
-    return AydCoefficient(h, flavour, action, alpha)
+    alpha = ContraRep(h.coalgebra, flavour.contra_side, h.unit.transpose())
+    return AydCoefficient(h, flavour, counit_module(h, flavour.module_side), alpha)
 
 
 def one_dim_coefficient(h: HopfData, flavour: AydFlavour,

@@ -7,34 +7,35 @@ Two shapes are built over a Hopf algebra H with coefficient space M:
 * cocyclic: C^n = Hom_H(A^(x)(n+1), M) for a module algebra A, with the
   arrows reversed.
 
-Tensor powers carry the diagonal action.  No operator is built on the full
-hom space: each is a structure-map precomposition or the contramodule map
-routed through a rotation of the tensor legs, applied to the sparse columns
-of the equivariant basis it starts from.  The images are checked against
-the target basis's echelon rows and read off at its free coordinates, so a
+Tensor powers carry the diagonal action.  An equivariant basis is never a
+dense matrix: it is the list of sparse kernel columns `exactla.sparse_kernel`
+returns, the identity on its free coordinates.  No operator is built on the
+full hom space: each is a structure-map precomposition or the contramodule
+map routed through a rotation of the tensor legs, applied to the sparse
+columns of the equivariant basis it starts from.  The images are checked
+against the target basis and read off at its free coordinates, so a
 restriction that fails to close raises NotEquivariant rather than silently
-projecting.
+projecting.  Matrices are read only through `exactla`'s sparse views.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 
 from .ayd import AydCoefficient, AydFlavour, ensure_coefficient_checked
 from .errors import (CharacteristicUnsupported, CompositionNotZero,
                      DimensionCapExceeded, NotEquivariant, PrerequisiteFailed,
                      ShapeMismatch, ValidationError)
-from .exactla import (Matrix, Subspace, combine, kron, quotient_projection,
-                      rank_kernel_image, rank_of, solve_columns, sparse_kernel,
-                      sparse_quotient)
+from .exactla import (Matrix, combine, kron, quotient_projection, rank_kernel_image,
+                      rank_of, solve_columns, sparse_kernel, sparse_quotient,
+                      sparse_vector)
 from .exactla import homology_dims as _middle_homology
 from .hopf import (AlgebraData, CoalgebraData, HopfData, compare_algebra_laws,
                    compare_coalgebra_laws)
 from .report import Report
-from .reps import ModuleRep, check_module
+from .reps import ModuleRep, check_module, counit_module
 
 DEFAULT_DIM_CAP = 20000
 
@@ -106,11 +107,9 @@ def build_named_module_coalgebra(name: str, h: HopfData) -> ModuleCoalgebraData:
         action = ModuleRep(h, "left", h.left_mult())
         return ModuleCoalgebraData(h.coalgebra, action)
     if name == "trivial":
-        F = h.field
-        one = F.one
-        coalgebra = CoalgebraData.from_triples(F, 1, [(0, 0, 0, one)], [one])
-        mats = [Matrix.from_rows(F, [[h.counit.data[0][a]]]) for a in range(h.dim)]
-        return ModuleCoalgebraData(coalgebra, ModuleRep(h, "left", mats))
+        one = h.field.one
+        coalgebra = CoalgebraData.from_triples(h.field, 1, [(0, 0, 0, one)], [one])
+        return ModuleCoalgebraData(coalgebra, counit_module(h, "left"))
     from .errors import UnknownName
     raise UnknownName(f"no bundled module coalgebra named {name!r}")
 
@@ -122,8 +121,7 @@ def build_named_module_algebra(name: str, h: HopfData) -> ModuleAlgebraData:
     one = F.one
     if name == "trivial":
         algebra = AlgebraData.from_triples(F, 1, [(0, 0, 0, one)], [one])
-        mats = [Matrix.from_rows(F, [[h.counit.data[0][a]]]) for a in range(h.dim)]
-        return ModuleAlgebraData(algebra, ModuleRep(h, "left", mats))
+        return ModuleAlgebraData(algebra, counit_module(h, "left"))
     if name == "adjoint":
         L = h.left_mult()
         mats = [combine(F, h.dim, h.dim,
@@ -150,7 +148,7 @@ def check_module_coalgebra(c: ModuleCoalgebraData) -> Report:
         rep.compare(f"action commutes with comultiplication at basis {a}",
                     com @ act[a], diag @ com, row_dims=(dx, dx), col_dims=(dx,))
         rep.compare(f"action commutes with counit at basis {a}",
-                    eps @ act[a], eps.scale(h.counit.data[0][a]), col_dims=(dx,))
+                    eps @ act[a], eps.scale(h.counit.entry(0, a)), col_dims=(dx,))
     return rep
 
 
@@ -170,7 +168,7 @@ def check_module_algebra(a: ModuleAlgebraData) -> Report:
         rep.compare(f"action respects products at basis {t}",
                     act[t] @ mul, mul @ diag, row_dims=(da,), col_dims=(da, da))
         rep.compare(f"action respects unit at basis {t}",
-                    act[t] @ unit, unit.scale(h.counit.data[0][t]), row_dims=(da,))
+                    act[t] @ unit, unit.scale(h.counit.entry(0, t)), row_dims=(da,))
     return rep
 
 
@@ -189,10 +187,10 @@ def diagonal_power(action: ModuleRep, k: int):
     The power is built by the coproduct, one tensor leg at a time.
     """
     h = action.hopf
-    p = action.field.p
+    F = action.field
     if k == 0:
-        return [[{0: e} if e else {}] for e in h.counit.data[0]]
-    first = [_sparse_columns(m) for m in action.matrices]
+        return [[col] for col in h.counit.sparse_columns()]
+    first = [m.sparse_columns() for m in action.matrices]
     cur = first
     terms = h.coalgebra.comul_terms()
     for _ in range(k - 1):
@@ -208,63 +206,27 @@ def diagonal_power(action: ModuleRep, k: int):
                             base, v1 = i1 * size, coeff * v1
                             for i2, v2 in col2.items():
                                 out[base + i2] = out.get(base + i2, 0) + v1 * v2
-            nxt.append([_nonzero(col, p) for col in cols])
+            nxt.append([sparse_vector(F, col) for col in cols])
         cur = nxt
     return cur
-
-
-def _sparse_columns(m: Matrix):
-    return [{i: v for i, row in enumerate(m.data) if (v := row[j])} for j in range(m.cols)]
-
-
-def _sparse_rows(m: Matrix):
-    return [[(j, v) for j, v in enumerate(row) if v] for row in m.data]
-
-
-def _nonzero(entries, p):
-    """The nonzero entries of a {index: scalar} dict, reduced mod p over GF(p)."""
-    if p is not None:
-        entries = {i: v % p for i, v in entries.items()}
-    return {i: v for i, v in entries.items() if v}
 
 
 @dataclass(frozen=True)
 class EquivariantBasis:
     """Basis of the H-linear maps inside Hom(X, M) at one degree.
 
-    The basis is the identity on the ambient coordinates `free`, and the
-    rows of `rref` (sparse {coordinate: scalar} dicts) are the reduced row
-    echelon form of the H-linearity constraints, so they span them.
+    `columns` are the basis vectors of k^ambient as sparse {coordinate:
+    scalar} dicts, from `sparse_kernel`; the basis is the identity on the
+    ambient coordinates `free`.
     """
 
-    degree: int
-    source_dim: int
-    coeff_dim: int
-    space: Subspace
+    ambient: int
     free: tuple
-    rref: tuple
+    columns: tuple
 
     @property
     def dim(self):
-        return self.space.dim
-
-    @property
-    def ambient(self):
-        return self.space.ambient_dim
-
-    @cached_property
-    def columns(self):
-        """The basis columns as {coordinate: scalar} dicts: column f is one at
-        the free coordinate f and minus row[f] at each rref row's pivot."""
-        F = self.space.basis.field
-        p = F.p
-        cols = {f: {f: F.one} for f in self.free}
-        for row in self.rref:
-            c = min(row)
-            for f, v in row.items():
-                if f != c:
-                    cols[f][c] = -v if p is None else -v % p
-        return [cols[f] for f in self.free]
+        return len(self.free)
 
 
 def _check_cap(ambient):
@@ -288,51 +250,48 @@ def equivariant_hom_basis(x: ModuleRep, m: AydCoefficient, n: int) -> Equivarian
         raise ShapeMismatch("equivariance here means left-linear maps")
     _check_cap(x.dim ** (n + 1) * m.dim)
     F = x.field
-    p = F.p
     dM = m.dim
     power = diagonal_power(x, n + 1)
     dX = len(power[0])
     rows = []
     for cols, act in zip(power, m.action.matrices):
+        arows = act.sparse_rows()
         for j, col in enumerate(cols):
-            for i, arow in enumerate(act.data):
+            for i, arow in enumerate(arows):
                 row = {k * dM + i: v for k, v in col.items()}
-                for l, w in enumerate(arow):
-                    if w:
-                        row[j * dM + l] = row.get(j * dM + l, 0) - w
-                row = _nonzero(row, p)
+                for l, w in arow.items():
+                    row[j * dM + l] = row.get(j * dM + l, 0) - w
+                row = sparse_vector(F, row)
                 if row:
                     rows.append(row)
-    rref, free, basis = sparse_kernel(F, rows, dX * dM)
-    return EquivariantBasis(n, dX, dM, Subspace(dX * dM, basis), tuple(free), tuple(rref))
+    _, free, columns = sparse_kernel(F, rows, dX * dM)
+    return EquivariantBasis(dX * dM, tuple(free), tuple(columns))
 
 
-def _restrict(operator, degree, images, dst: EquivariantBasis) -> Matrix:
+def _restrict(field, operator, degree, images, dst: EquivariantBasis) -> Matrix:
     """Sparse images of src's basis columns, re-expressed in dst's basis.
 
-    An image y lies in dst's subspace exactly when every row of dst.rref
-    annihilates it.  The row with pivot c evaluates to y[c] minus the sum of
-    y[f] * column_f[c] over the free coordinates f, so the check visits only
-    y's nonzero entries.  The coordinates of y are then its entries at dst's
-    free coordinates, where dst's basis is the identity.
+    dst's basis is the identity on its free coordinates, so an image y can
+    only be the combination of dst's columns with y's entries at the free
+    coordinates as coefficients.  It lies in dst's subspace exactly when
+    that combination agrees with y at the other coordinates too, so the
+    check visits only y's nonzero entries, and those free entries are y's
+    coordinates in dst's basis.
     """
-    F = dst.space.basis.field
-    p = F.p
     index = {c: r for r, c in enumerate(dst.free)}
-    columns = dst.columns
-    data = [[F.zero] * len(images) for _ in dst.free]
+    entries = []
     for k, y in enumerate(images):
         residue = {c: v for c, v in y.items() if c not in index}
         for f, v in y.items():
             if f in index:
-                data[index[f]][k] = v
-                for c, w in columns[index[f]].items():
+                entries.append((index[f], k, v))
+                for c, w in dst.columns[index[f]].items():
                     if c != f:
                         residue[c] = residue.get(c, 0) - v * w
-        if any(v % p if p is not None else v for v in residue.values()):
+        if sparse_vector(field, residue):
             raise NotEquivariant(f"{operator} at degree {degree} does not preserve "
                                  "the equivariant subspaces", degree=degree, operator=operator)
-    return Matrix(F, len(dst.free), len(images), data)
+    return Matrix.from_entries(field, dst.dim, len(images), entries)
 
 
 @dataclass
@@ -401,7 +360,7 @@ def _build_complex(kind, flavour, data, check, g, e, m, N, allow_unstable, requi
     if require_checked:
         ensure_coefficient_checked(m, need_stable=not allow_unstable)
     x = data.action
-    p = x.field.p
+    F = x.field
     dx, dm = x.dim, m.dim
     # the ambient dimension grows with the degree, and stays dm when dx is 1
     for n in range(N + 1 if dx > 1 else 1):
@@ -413,12 +372,13 @@ def _build_complex(kind, flavour, data, check, g, e, m, N, allow_unstable, requi
     bases = [equivariant_hom_basis(x, m, n) for n in range(N + 1)]
     prefix = "" if cyclic else "co"
     # u: X^a -> X^b as (its rows as [(column, scalar)], a, b)
-    g_map = (_sparse_rows(g),) + ((1, 2) if cyclic else (2, 1))
-    e_map = (_sparse_rows(e),) + ((1, 0) if cyclic else (0, 1))
+    g_map = (g.sparse_rows(),) + ((1, 2) if cyclic else (2, 1))
+    e_map = (e.sparse_rows(),) + ((1, 0) if cyclic else (0, 1))
     # acts[z] lists (h, y, scalar) with h.y having that scalar at z
-    acts = [[(h, y, a) for h, act in enumerate(x.matrices)
-             for y, a in enumerate(act.data[z]) if a] for z in range(dx)]
-    alpha = [list(col.items()) for col in _sparse_columns(m.alpha.alpha)]
+    act_rows = [act.sparse_rows() for act in x.matrices]
+    acts = [[(h, y, a) for h, rows in enumerate(act_rows) for y, a in rows[z].items()]
+            for z in range(dx)]
+    alpha = m.alpha.alpha.sparse_columns()
 
     def precompose(cols, u, i, k):
         """f -> f . (id^i (x) u (x) id^k) on sparse columns."""
@@ -432,10 +392,10 @@ def _build_complex(kind, flavour, data, check, g, e, m, N, allow_unstable, requi
                 j, s = divmod(flat, dm)
                 pre, rest = divmod(j, high)
                 mid, suf = divmod(rest, low)
-                for mid2, w in rows[mid]:
+                for mid2, w in rows[mid].items():
                     t = ((pre * shift + mid2) * low + suf) * dm + s
                     acc[t] = acc.get(t, 0) + v * w
-            out.append(_nonzero(acc, p))
+            out.append(sparse_vector(F, acc))
         return out
 
     def turn(cols, n):
@@ -455,14 +415,14 @@ def _build_complex(kind, flavour, data, check, g, e, m, N, allow_unstable, requi
                 for h, y, a in acts[z]:
                     base = (y * top + rest if cyclic else rest * dx + y) * dm
                     va = v * a
-                    for s2, c in alpha[h * dm + s]:
+                    for s2, c in alpha[h * dm + s].items():
                         acc[base + s2] = acc.get(base + s2, 0) + va * c
-            out.append(_nonzero(acc, p))
+            out.append(sparse_vector(F, acc))
         return out
 
     def restrict(name, n, k, images):
         # cyclic operators run from degree n to k, cocyclic ones from k to n
-        return _restrict(prefix + name, n, images, bases[k if cyclic else n])
+        return _restrict(F, prefix + name, n, images, bases[k if cyclic else n])
 
     cols = [b.columns for b in bases]
     turned, faces, degens, cyclers = {}, {}, {}, {}
@@ -609,8 +569,7 @@ def homology_dims(cx: CyclicComplexData, mode: str = "hochschild"):
         # cochains: the coboundary preserves the lambda-invariant subcomplex
         ker = {}
         for n in range(N + 1):
-            _, sub, _ = rank_kernel_image(one_minus_lambda(n))
-            ker[n] = sub.basis
+            _, ker[n], _ = rank_kernel_image(one_minus_lambda(n))
         for n in range(1, N + 1):
             restricted = solve_columns(ker[n], b[n] @ ker[n - 1])
             if restricted is None:
@@ -666,12 +625,12 @@ def tensor_over_H(n, x: ModuleRep) -> QuotientData:
     # column (i, j) of kron(R_a, I_x) - kron(I_n, X_a), written as a sparse row
     rows = []
     for r_a, x_a in zip(right.matrices, x.matrices):
+        r_cols, x_cols = r_a.sparse_columns(), x_a.sparse_columns()
         for i in range(dn):
             for j in range(dx):
-                row = {k * dx + j: v for k, r in enumerate(r_a.data) if (v := r[i])}
-                for k, r in enumerate(x_a.data):
-                    if r[j]:
-                        row[i * dx + k] = row.get(i * dx + k, 0) - r[j]
-                rows.append(_nonzero(row, F.p))
+                row = {k * dx + j: v for k, v in r_cols[i].items()}
+                for k, v in x_cols[j].items():
+                    row[i * dx + k] = row.get(i * dx + k, 0) - v
+                rows.append(sparse_vector(F, row))
     qdim, proj, lift = sparse_quotient(F, rows, ambient)
     return QuotientData(ambient, qdim, proj, lift)

@@ -3,20 +3,30 @@
 Scalars are `fractions.Fraction` over the rationals and least nonnegative
 residues (plain ints) over GF(p).  No floating point anywhere.
 
-`Matrix` stores its entries densely; it is the one matrix type.  There is
-one elimination: the reduced row echelon form of {column: scalar} rows
-behind `sparse_kernel`.  Ranks, kernels, images, solves, inverses and
-quotient projections all read their results off it, and systems that are
-almost all zeros, like the H-linearity constraints of an equivariant hom
-space or the relations of a tensor product over H, are written to it as
-sparse rows directly (`sparse_kernel`, `sparse_quotient`).
+`Matrix` is the one matrix type, and this is the only module that knows
+how it is stored (densely, row-major) and how a sparse vector is written
+(a {index: scalar} dict of nonzero canonical scalars, `sparse_vector`).
+Other modules read a matrix through `entry`, `col`, `nonzero_entries` and
+the sparse views `sparse_rows` and `sparse_columns`, compare two with
+`first_difference`, and write one through `from_entries`, which adds the
+scalars given at a repeated position.
+
+There is one elimination: the reduced row echelon form of {column: scalar}
+rows behind `sparse_kernel`, which returns its kernel as sparse columns.
+Ranks, kernels, images, solves, inverses and quotient projections all read
+their results off it, and systems that are almost all zeros, like the
+H-linearity constraints of an equivariant hom space or the relations of a
+tensor product over H, are written to it as sparse rows directly
+(`sparse_kernel`, `sparse_quotient`).  Only the matrices returned by
+`rank_kernel_image` and `quotient_projection` are dense.
 
 There is one sum: `combine` adds scaled matrices, visiting only their
-nonzero entries and reducing mod p once.  `+`, `-`, negation and `scale`
-call it, and so does every Sweedler-leg sum of structure operators in the
-other modules.  The operators of the hom complexes are not built here:
-`cyclic` applies them to sparse basis columns and hands over only their
-restrictions, as dense `Matrix` values.
+nonzero entries.  `+`, `-`, negation and `scale` call it, and so does
+every Sweedler-leg sum of structure operators in the other modules.
+`combine`, `from_entries` and `@` collect their sums in per-row dicts and
+share one reduction, so every sum is reduced mod p once.  The operators of
+the hom complexes are not built here: `cyclic` applies them to sparse basis
+columns and hands over only their restrictions.
 
 Basis conventions, fixed once and used by every other module:
 
@@ -29,7 +39,6 @@ Basis conventions, fixed once and used by every other module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -84,10 +93,6 @@ class FieldSpec:
         self.p = p
 
     @property
-    def kind(self):
-        return "Rationals" if self.p is None else "PrimeField"
-
-    @property
     def characteristic(self):
         return 0 if self.p is None else self.p
 
@@ -127,9 +132,6 @@ class FieldSpec:
         if value % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(value, -1, self.p)
-
-    def format(self, value) -> str:
-        return str(value)
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.p == other.p
@@ -185,21 +187,16 @@ class Matrix:
 
     @classmethod
     def from_entries(cls, field, rows, cols, entries):
-        """Build from sparse (row, col, scalar) triples."""
-        m = cls.zeros(field, rows, cols)
+        """Build from sparse (row, col, scalar) triples; the scalars given at
+        a repeated position add up, and each sum is brought into canonical
+        form once."""
+        acc = [{} for _ in range(rows)]
         for i, j, v in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
-            m.data[i][j] = field.coerce(v)
-        return m
-
-    @classmethod
-    def column(cls, field, values):
-        return cls(field, len(values), 1, [[field.coerce(v)] for v in values])
-
-    @classmethod
-    def row(cls, field, values):
-        return cls(field, 1, len(values), [[field.coerce(v) for v in values]])
+            out = acc[i]
+            out[j] = out[j] + v if j in out else v
+        return _from_row_sums(field, rows, cols, acc)
 
     # -- basic queries ------------------------------------------------
 
@@ -224,6 +221,27 @@ class Matrix:
             if v
         ]
 
+    def sparse_rows(self):
+        """Row i as the {column: scalar} dict of its nonzero entries."""
+        return [{j: v for j, v in enumerate(row) if v} for row in self.data]
+
+    def sparse_columns(self):
+        """Column j as the {row: scalar} dict of its nonzero entries."""
+        cols = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, v in enumerate(row):
+                if v:
+                    cols[j][i] = v
+        return cols
+
+    def first_difference(self, other):
+        """The first (row, col), in row-major order, where two matrices of
+        one shape differ, or None when they are equal."""
+        for i, (lrow, rrow) in enumerate(zip(self.data, other.data)):
+            if lrow != rrow:
+                return i, next(j for j, (a, b) in enumerate(zip(lrow, rrow)) if a != b)
+        return None
+
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -233,9 +251,6 @@ class Matrix:
             and self.cols == other.cols
             and self.data == other.data
         )
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, tuple(map(tuple, self.data))))
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
@@ -262,22 +277,15 @@ class Matrix:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
-        p = self.field.p
-        z = self.field.zero
-        m, n = self.rows, other.cols
-        out = [[z] * n for _ in range(m)]
         bdata = other.data
-        for i, arow in enumerate(self.data):
-            orow = out[i]
+        acc = [{} for _ in range(self.rows)]
+        for out, arow in zip(acc, self.data):
             for k, a in enumerate(arow):
                 if a:
-                    brow = bdata[k]
-                    for j, b in enumerate(brow):
+                    for j, b in enumerate(bdata[k]):
                         if b:
-                            orow[j] = orow[j] + a * b
-            if p is not None:
-                out[i] = [v % p for v in orow]
-        return Matrix(self.field, m, n, out)
+                            out[j] = out[j] + a * b if j in out else a * b
+        return _from_row_sums(self.field, self.rows, other.cols, acc)
 
     def transpose(self):
         data = [
@@ -336,10 +344,8 @@ def combine(field, rows, cols, terms) -> Matrix:
     matrix; with no terms it is the zero matrix.
 
     Only the nonzero entries of each term are visited, zero scalars are
-    skipped, and sums are reduced mod p once, at the end.  Every entry of the
-    result, zeros included, is in the field's canonical type.
+    skipped, and the sums are reduced as in `from_entries`.
     """
-    p = field.p
     acc = [{} for _ in range(rows)]
     for c, m in terms:
         if m.field != field:
@@ -355,15 +361,31 @@ def combine(field, rows, cols, terms) -> Matrix:
                 if v:
                     w = v if one else c * v
                     out[j] = out[j] + w if j in out else w
+    return _from_row_sums(field, rows, cols, acc)
+
+
+def _from_row_sums(field, rows, cols, acc):
+    """Dense matrix from per-row {column: sum} dicts, each sum brought into
+    the field's canonical type (reduced mod p over GF(p)) once; zeros too
+    are canonical."""
+    coerce = field.coerce
     z = field.zero
     data = [[z] * cols for _ in range(rows)]
     for drow, out in zip(data, acc):
         for j, v in out.items():
-            if p is not None:
-                v %= p
+            v = coerce(v)
             if v:
                 drow[j] = v
     return Matrix(field, rows, cols, data)
+
+
+def sparse_vector(field, sums):
+    """The nonzero entries of a {index: sum} dict whose sums are products
+    and sums of canonical scalars, reduced mod p over GF(p)."""
+    p = field.p
+    if p is None:
+        return {i: v for i, v in sums.items() if v}
+    return {i: r for i, v in sums.items() if (r := v % p)}
 
 
 def split_index(flat, dims):
@@ -397,24 +419,6 @@ def tensor_permutation(field, dims, perm) -> Matrix:
             flat_out = flat_out * dims[s] + digits[s]
         entries.append((flat_out, flat_in, 1))
     return Matrix.from_entries(field, total, total, entries)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of k^ambient_dim, spanned by the columns of `basis`."""
-
-    ambient_dim: int
-    basis: Matrix
-
-    @property
-    def dim(self):
-        return self.basis.cols
-
-    def __post_init__(self):
-        if self.basis.rows != self.ambient_dim:
-            raise ShapeMismatch(
-                f"basis lives in dim {self.basis.rows}, ambient is {self.ambient_dim}"
-            )
 
 
 # -- elimination ------------------------------------------------------
@@ -466,49 +470,44 @@ def _axpy(row, factor, other, skip, p):
             row.pop(j, None)
 
 
-def _rows_of(m: Matrix):
-    return [{j: v for j, v in enumerate(row) if v} for row in m.data]
-
-
 def sparse_kernel(field, rows, ncols):
     """Reduced row echelon form of sparse rows, and the kernel it fixes.
 
     Returns (rref, free, kernel): rref lists the pivot rows by pivot column,
-    free lists the other columns in increasing order, and kernel is the
-    dense ncols x len(free) basis that is the identity on the free columns
-    and minus the rref entries at the pivot columns.
+    free lists the other columns in increasing order, and kernel lists the
+    basis of the kernel that is the identity on the free columns, as sparse
+    columns: column f is one at f and minus row[f] at each rref row's pivot.
     """
     p = field.p
     pivots = _rref(field, rows)
     free = [c for c in range(ncols) if c not in pivots]
-    index = {c: k for k, c in enumerate(free)}
-    data = [[field.zero] * len(free) for _ in range(ncols)]
-    for k, c in enumerate(free):
-        data[c][k] = field.one
-    for c, prow in pivots.items():
-        out = data[c]
-        for j, v in prow.items():
-            if j != c:
-                out[index[j]] = -v if p is None else -v % p
+    kernel = {f: {f: field.one} for f in free}
     rref = [pivots[c] for c in sorted(pivots)]
-    return rref, free, Matrix(field, ncols, len(free), data)
+    for row in rref:
+        c = min(row)
+        for f, v in row.items():
+            if f != c:
+                kernel[f][c] = -v if p is None else -v % p
+    return rref, free, [kernel[f] for f in free]
 
 
 def rank_kernel_image(m: Matrix):
-    """Exact rank, kernel basis, and image basis of a matrix.
+    """Exact rank, kernel basis and image basis of a matrix, the bases as
+    dense matrices.
 
     rank + dim kernel = cols always; the kernel basis is the identity on
     the free columns; the image basis is the pivot columns of m itself.
     """
-    rref, _, kernel = sparse_kernel(m.field, _rows_of(m), m.cols)
+    rref, free, kernel = sparse_kernel(m.field, m.sparse_rows(), m.cols)
     pivots = [min(row) for row in rref]
-    img_data = [[row[c] for c in pivots] for row in m.data]
-    image = Subspace(m.rows, Matrix(m.field, m.rows, len(pivots), img_data))
-    return len(rref), Subspace(m.cols, kernel), image
+    image = Matrix(m.field, m.rows, len(pivots), [[row[c] for c in pivots] for row in m.data])
+    kernel = Matrix.from_entries(m.field, m.cols, len(free), (
+        (i, k, v) for k, col in enumerate(kernel) for i, v in col.items()))
+    return len(rref), kernel, image
 
 
 def rank_of(m: Matrix) -> int:
-    return len(_rref(m.field, _rows_of(m)))
+    return len(_rref(m.field, m.sparse_rows()))
 
 
 def solve_columns(a: Matrix, b: Matrix):
@@ -522,7 +521,7 @@ def solve_columns(a: Matrix, b: Matrix):
     if a.rows != b.rows:
         raise ShapeMismatch(f"{a.shape} vs {b.shape}")
     n = a.cols
-    pivots = _rref(a.field, _rows_of(hstack([a, b])))
+    pivots = _rref(a.field, hstack([a, b]).sparse_rows())
     if any(c >= n for c in pivots):
         return None
     if len(pivots) != n:
@@ -551,13 +550,9 @@ def homology_dims(d_in: Matrix, d_out: Matrix) -> int:
         raise ShapeMismatch(
             f"middle space mismatch: d_out has {d_out.cols} cols, d_in has {d_in.rows} rows"
         )
-    comp = d_out @ d_in
-    for j in range(comp.cols):
-        for i in range(comp.rows):
-            if comp.data[i][j]:
-                raise CompositionNotZero(
-                    f"d_out @ d_in nonzero at column {j}", column=j
-                )
+    for j, col in enumerate((d_out @ d_in).sparse_columns()):
+        if col:
+            raise CompositionNotZero(f"d_out @ d_in nonzero at column {j}", column=j)
     return (d_out.cols - rank_of(d_out)) - rank_of(d_in)
 
 
@@ -571,12 +566,14 @@ def quotient_projection(sub: Matrix):
     vanishes on the span with proj @ lift = id.  The columns of `sub` may be
     dependent.
     """
-    return sparse_quotient(sub.field, _rows_of(sub.transpose()), sub.rows)
+    return sparse_quotient(sub.field, sub.sparse_columns(), sub.rows)
 
 
 def sparse_quotient(field, rows, ambient):
     """quotient_projection for the span of sparse {coordinate: scalar} rows
     in k^ambient, with no dense matrix of spanning vectors."""
     _, free, kernel = sparse_kernel(field, rows, ambient)
+    proj = Matrix.from_entries(field, len(free), ambient, (
+        (k, i, v) for k, col in enumerate(kernel) for i, v in col.items()))
     lift = Matrix.from_entries(field, ambient, len(free), [(i, k, 1) for k, i in enumerate(free)])
-    return len(free), kernel.transpose(), lift
+    return len(free), proj, lift

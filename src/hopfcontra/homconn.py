@@ -12,10 +12,11 @@ right-right coefficient induces nabla: Hom(Omega^1, M) -> M; the induced
 pair (nabla1, nabla0) composes to zero exactly when the coefficient is
 compatible, which curvature_and_flatness verifies.
 
-Every structure operator here is a Sweedler-leg sum written as one
-`combine` call over kron products of leg operators.  The largest space
-involved is H (x) H (x) H, and its dimension is checked against the cap
-before anything is built.
+Every structure operator here is a Sweedler-leg sum, written as one
+`combine` call over kron products of leg operators or, when each term puts
+an operator into one block, as one list of entries for `from_entries`.  The
+largest space involved is H (x) H (x) H, and its dimension is checked
+against the cap before anything is built.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .ayd import AydCoefficient, check_ayd_compatibility, ensure_coefficient_che
 from .ayd import _transport_operator
 from .cyclic import dim_cap
 from .errors import CounitDegenerate, DimensionCapExceeded, PrerequisiteFailed
-from .exactla import Matrix, combine, inverse, kron, vstack
+from .exactla import Matrix, combine, inverse, kron
 from .hopf import HopfData, check_hopf_axioms
 from .report import Report
 from .reps import check_contramodule
@@ -155,17 +156,13 @@ def check_coring(c: CoringData) -> Report:
     return rep
 
 
-def _matrix_unit(field, rows, cols, i, j):
-    return Matrix.from_entries(field, rows, cols, [(i, j, 1)])
-
-
-def _block_sum(field, rows, cols, entries, rho, dm):
-    """Sum of c * kron(E_ij, rho[v]) over entries (i, j, v, c), E_ij the
-    rows x cols matrix unit: block (i, j) gains c times the action matrix
-    rho[v] on the dm dimensional coefficient."""
-    return combine(field, rows * dm, cols * dm,
-                   [(c, kron(_matrix_unit(field, rows, cols, i, j), rho[v]))
-                    for i, j, v, c in entries])
+def _block_entries(blocks, rho, dm):
+    """The entries of the sum of c * kron(E_ij, rho[v]) over blocks
+    (i, j, v, c), E_ij a matrix unit: block (i, j) gains c times the action
+    matrix rho[v] on the dm dimensional coefficient."""
+    for i, j, v, c in blocks:
+        for r, s, w in rho[v].nonzero_entries():
+            yield i * dm + r, j * dm + s, c * w
 
 
 def _identified_right_action(coring: CoringData, m: AydCoefficient):
@@ -178,9 +175,9 @@ def _identified_right_action(coring: CoringData, m: AydCoefficient):
     out = []
     for a in range(d):
         restricted = coring.left_action[a] @ emb
-        out.append(_block_sum(F, d, d, [(hp, *divmod(row, d), coeff)
-                                        for (row, hp, coeff) in restricted.nonzero_entries()],
-                              m.action.matrices, dm))
+        out.append(Matrix.from_entries(F, d * dm, d * dm, _block_entries(
+            [(hp, *divmod(row, d), coeff) for (row, hp, coeff) in restricted.nonzero_entries()],
+            m.action.matrices, dm)))
     return out
 
 
@@ -250,34 +247,33 @@ def build_dga(h: HopfData) -> DgaData:
     F = h.field
     d = h.dim
     eps = h.counit
-    pivot = None
-    for j in range(d):
-        if eps.data[0][j] != F.zero:
-            pivot = j
-            break
-    if pivot is None:
+    counit = eps.sparse_rows()[0]
+    if not counit:
         raise CounitDegenerate("the counit vanishes on every basis vector")
+    pivot = min(counit)
     axioms = check_hopf_axioms(h)
     if not axioms.ok:
         raise PrerequisiteFailed(f"hopf axioms fail: {axioms.failures()[0].name}")
     dplus = d - 1
     # column k of incl is e_i - (eps(e_i) / eps(e_pivot)) e_pivot, i the k-th other index
-    inv_piv = F.invert(eps.data[0][pivot])
+    inv_piv = F.invert(counit[pivot])
     others = [i for i in range(d) if i != pivot]
     cols = ([(i, k, 1) for k, i in enumerate(others)]
-            + [(pivot, k, -eps.data[0][i] * inv_piv) for k, i in enumerate(others)])
+            + [(pivot, k, -counit.get(i, 0) * inv_piv) for k, i in enumerate(others)])
     incl = Matrix.from_entries(F, d, dplus, cols)
     w_inv = inverse(Matrix.from_entries(F, d, d, cols + [(pivot, dplus, 1)]))
-    proj_w = Matrix(F, dplus, d, [list(w_inv.data[k]) for k in range(dplus)])
+    proj_w = Matrix.from_entries(F, dplus, d,
+                                 [e for e in w_inv.nonzero_entries() if e[0] < dplus])
     I_d = Matrix.identity(F, d)
     proj_plus = proj_w @ (I_d - h.unit @ eps)
 
     # T(h) = h_(1) Sinv(h_(3)) (x) h_(2), the twisted part of the differential
     L = h.left_mult()
-    T = combine(F, d * d, d, [
-        (coeff, kron(h.mult_by(h.antipode_inv_of(dd), "right") @ L[b] @ h.unit,
-                     _matrix_unit(F, d, d, c, a)))
-        for a, terms in enumerate(h.comul_terms(2)) for ((b, c, dd), coeff) in terms])
+    T = Matrix.from_entries(F, d * d, d, (
+        (r * d + c, a, coeff * v)
+        for a, terms in enumerate(h.comul_terms(2)) for ((b, c, dd), coeff) in terms
+        for r, v in enumerate(
+            (h.mult_by(h.antipode_inv_of(dd), "right") @ L[b] @ h.unit).col(0))))
     raw0 = kron(h.unit, I_d) - T
     if not (kron(eps, I_d) @ raw0).is_zero():
         raise PrerequisiteFailed("degree one image escapes the counit kernel")
@@ -320,15 +316,14 @@ class HomConnectionData:
     nabla1: Matrix
 
 
-def _evaluate_form(field, coords, blocks, d, right_mats, dm):
-    """Operator f -> sum over the form's legs of rho(last leg) f(plus legs).
+def _form_entries(coords, d, right_mats, dm):
+    """The entries of the operator f -> sum over the form's legs of
+    rho(last leg) f(plus legs), one block row wide.
 
-    coords is a vector over (plus-power, H) with the H leg minor; blocks is
-    the number of plus-power basis elements.
+    coords is a vector over (plus-power, H) with the H leg minor.
     """
-    return _block_sum(field, 1, blocks,
-                      [(0, *divmod(idx, d), v) for idx, v in enumerate(coords) if v],
-                      right_mats, dm)
+    return _block_entries([(0, *divmod(idx, d), v) for idx, v in enumerate(coords) if v],
+                          right_mats, dm)
 
 
 def hom_connection_from_contramodule(m: AydCoefficient, dga: DgaData,
@@ -355,12 +350,14 @@ def hom_connection_from_contramodule(m: AydCoefficient, dga: DgaData,
     emb1 = kron(Matrix.identity(F, dplus), h.unit)
     d1_on_units = dga.d1 @ emb1
     rho = m.action.matrices
-    rows = []
+    width = dplus * dm
+    entries = []
     for i in range(dplus):
-        slicer = kron(_matrix_unit(F, 1, dplus, 0, i), Matrix.identity(F, dplus * dm))
-        evaluated = _evaluate_form(F, d1_on_units.col(i), dplus * dplus, d, rho, dm)
-        rows.append(nabla0 @ slicer + evaluated)
-    nabla1 = vstack(rows)
+        # block row i: nabla0 on the i-th slice of Hom(Omega^2, M), plus the form term
+        entries += [(i * dm + r, i * width + s, v) for r, s, v in nabla0.nonzero_entries()]
+        entries += [(i * dm + r, s, v)
+                    for r, s, v in _form_entries(d1_on_units.col(i), d, rho, dm)]
+    nabla1 = Matrix.from_entries(F, dplus * dm, dplus * width, entries)
     return HomConnectionData(m, dga, nabla0, nabla1)
 
 
@@ -378,10 +375,11 @@ def check_leibniz(hc: HomConnectionData) -> Report:
     emb1 = kron(Matrix.identity(F, dplus), h.unit)
     for a in range(d):
         restricted = dga.omega1_act[a] @ emb1
-        act_op = _block_sum(F, dplus, dplus, [(w, *divmod(row, d), coeff)
-                                              for (row, w, coeff) in restricted.nonzero_entries()],
-                            rho, dm)
-        evaluated = _evaluate_form(F, dga.d0.col(a), dplus, d, rho, dm)
+        act_op = Matrix.from_entries(F, dplus * dm, dplus * dm, _block_entries(
+            [(w, *divmod(row, d), coeff) for (row, w, coeff) in restricted.nonzero_entries()],
+            rho, dm))
+        evaluated = Matrix.from_entries(F, dm, dplus * dm,
+                                        _form_entries(dga.d0.col(a), d, rho, dm))
         rep.compare(f"leibniz rule at basis {a}",
                     hc.nabla0 @ act_op, rho[a] @ hc.nabla0 + evaluated,
                     row_dims=(dm,), col_dims=(dplus, dm))

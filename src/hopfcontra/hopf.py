@@ -5,8 +5,9 @@ coefficient of e_k in e_i e_j; comultiplication is comul: H -> H (x) H with
 comul[j*dim + k, i] the coefficient of e_j (x) e_k in the coproduct of e_i.
 Unit is a column, counit a row, antipode and its inverse square matrices.
 
-Structure constants enter as sparse triples (i, j, k, scalar); the structure
-matrices are stored densely.  Iterated coproducts are kept only as sparse
+Structure constants enter as sparse triples (i, j, k, scalar), and the
+scalars given at a repeated triple add up; how the structure matrices are
+stored is `exactla`'s business.  Iterated coproducts are kept only as sparse
 terms (`comul_terms`), each one expanding the first leg of the one before;
 they and the one-sided multiplication operators are cached on the object
 after first use.  The algebra and coalgebra law verdicts are written once
@@ -17,7 +18,8 @@ module (co)algebra checks.
 from __future__ import annotations
 
 from .errors import CharacteristicClash, ShapeMismatch, UnknownName
-from .exactla import FieldSpec, Matrix, combine, inverse, kron, tensor_permutation
+from .exactla import (FieldSpec, Matrix, combine, inverse, kron, sparse_vector,
+                      tensor_permutation)
 from .report import Report
 
 
@@ -94,25 +96,24 @@ class AlgebraData:
 
     def left_mult(self):
         """Operators L_i of left multiplication by each basis element."""
-        if "left" not in self._cache:
-            d = self.dim
-            ops = []
-            for i in range(d):
-                data = [[self.mul.data[k][i * d + j] for j in range(d)] for k in range(d)]
-                ops.append(Matrix(self.field, d, d, data))
-            self._cache["left"] = ops
-        return self._cache["left"]
+        return self._mult_ops("left")
 
     def right_mult(self):
         """Operators R_j of right multiplication by each basis element."""
-        if "right" not in self._cache:
+        return self._mult_ops("right")
+
+    def _mult_ops(self, side):
+        if side not in self._cache:
             d = self.dim
-            ops = []
-            for j in range(d):
-                data = [[self.mul.data[k][i * d + j] for i in range(d)] for k in range(d)]
-                ops.append(Matrix(self.field, d, d, data))
-            self._cache["right"] = ops
-        return self._cache["right"]
+            entries = [[] for _ in range(d)]
+            for k, col, c in self.mul.nonzero_entries():
+                i, j = divmod(col, d)
+                if side == "left":
+                    entries[i].append((k, j, c))
+                else:
+                    entries[j].append((k, i, c))
+            self._cache[side] = [Matrix.from_entries(self.field, d, d, e) for e in entries]
+        return self._cache[side]
 
     def mult_by(self, coords, side):
         """Multiplication operator by the element with the given coordinates."""
@@ -135,7 +136,8 @@ class HopfData:
         if antipode.shape != (dim, dim):
             raise ShapeMismatch(f"antipode must be {dim}x{dim}, got {antipode.shape}")
         if antipode_inv is None:
-            antipode_inv = antipode_inverse(antipode)
+            # raises Singular when the antipode is not bijective
+            antipode_inv = inverse(antipode)
         if antipode_inv.shape != (dim, dim):
             raise ShapeMismatch(f"antipode inverse must be {dim}x{dim}")
         self.field = algebra.field
@@ -193,22 +195,16 @@ class HopfData:
                         for j, l, c2 in first[idx[0]]:
                             legs = (j, l) + idx[1:]
                             acc[legs] = acc.get(legs, 0) + c * c2
-                    acc = {legs: F.coerce(v) for legs, v in acc.items()}
-                    terms.append(sorted((legs, v) for legs, v in acc.items() if v))
+                    terms.append(sorted(sparse_vector(F, acc).items()))
             self._cache[key] = terms
         return self._cache[key]
 
     def antipode_of(self, j):
         """Coordinates of the antipode applied to basis element j."""
-        return [self.antipode.data[i][j] for i in range(self.dim)]
+        return self.antipode.col(j)
 
     def antipode_inv_of(self, j):
-        return [self.antipode_inv.data[i][j] for i in range(self.dim)]
-
-
-def antipode_inverse(antipode: Matrix) -> Matrix:
-    """Exact inverse of an antipode matrix; raises Singular when not bijective."""
-    return inverse(antipode)
+        return self.antipode_inv.col(j)
 
 
 def compare_algebra_laws(rep: Report, a: AlgebraData):

@@ -42,20 +42,16 @@ def first_difference(lhs: Matrix, rhs: Matrix, row_dims=None, col_dims=None):
     """
     if lhs.shape != rhs.shape:
         return {"shape": [list(lhs.shape), list(rhs.shape)]}
-    fmt = lhs.field.format
-    for i in range(lhs.rows):
-        lrow, rrow = lhs.data[i], rhs.data[i]
-        if lrow == rrow:
-            continue
-        for j in range(lhs.cols):
-            if lrow[j] != rrow[j]:
-                witness = {"row": i, "col": j, "lhs": fmt(lrow[j]), "rhs": fmt(rrow[j])}
-                if row_dims:
-                    witness["row_index"] = split_index(i, row_dims)
-                if col_dims:
-                    witness["col_index"] = split_index(j, col_dims)
-                return witness
-    return None
+    at = lhs.first_difference(rhs)
+    if at is None:
+        return None
+    i, j = at
+    witness = {"row": i, "col": j, "lhs": str(lhs.entry(i, j)), "rhs": str(rhs.entry(i, j))}
+    if row_dims:
+        witness["row_index"] = split_index(i, row_dims)
+    if col_dims:
+        witness["col_index"] = split_index(j, col_dims)
+    return witness
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,13 @@ class ModuleRep:
         return self.hopf.field
 
 
+def counit_module(h: HopfData, side: str) -> ModuleRep:
+    """The ground field as a module on which each basis element acts by its
+    counit."""
+    return ModuleRep(h, side, [Matrix.from_rows(h.field, [[h.counit.entry(0, a)]])
+                               for a in range(h.dim)])
+
+
 class ComoduleRep:
     """Comodule over the coalgebra part; rho is C (x) N valued on the left
     side and N (x) C valued on the right side."""

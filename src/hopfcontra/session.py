@@ -4,8 +4,8 @@ A session names a field, a Hopf structure (by example name or explicit
 structure constants), optional module coalgebra and module algebra data,
 a list of coefficients, and a list of tasks.  Scalars are written as
 "num/den" strings over the rationals and plain integers over a prime
-field; tensors are sparse lists of (indices..., scalar) rows; every index
-is 0-based.
+field; tensors are sparse lists of (indices..., scalar) rows, whose
+scalars add up at a repeated position; every index is 0-based.
 
 Loading validates everything up front: a session either produces fully
 constructed in-memory objects or raises ParseError / ValidationError with
@@ -132,54 +132,38 @@ def _scalar_list(field, value, n, path):
     return [_as_scalar(field, v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
-def _sparse_matrix(field, rows, cols, value, path):
-    """Entries as [row, col, scalar] triples; repeated positions accumulate."""
-    entries = _as_list(value, path)
-    acc = {}
-    for k, entry in enumerate(entries):
+def _entries(field, value, path, bounds, names):
+    """Entries as [index..., scalar] lists, one index below each bound;
+    names spells out the layout for the error message."""
+    out = []
+    for k, entry in enumerate(_as_list(value, path)):
         epath = f"{path}[{k}]"
         row = _as_list(entry, epath)
-        if len(row) != 3:
-            _fail("expected [row, col, scalar]", epath)
-        i = _as_index(row[0], rows, f"{epath}[0]")
-        j = _as_index(row[1], cols, f"{epath}[1]")
-        s = _as_scalar(field, row[2], f"{epath}[2]")
-        acc[i, j] = acc.get((i, j), 0) + s
-    return Matrix.from_entries(field, rows, cols, [(i, j, v) for (i, j), v in acc.items()])
+        if len(row) != len(bounds) + 1:
+            _fail(f"expected [{names}, scalar]", epath)
+        indices = tuple(_as_index(v, b, f"{epath}[{n}]")
+                        for n, (v, b) in enumerate(zip(row, bounds)))
+        out.append(indices + (_as_scalar(field, row[-1], f"{epath}[{len(bounds)}]"),))
+    return out
+
+
+def _sparse_matrix(field, rows, cols, value, path):
+    """Entries as [row, col, scalar] triples."""
+    return Matrix.from_entries(field, rows, cols,
+                               _entries(field, value, path, (rows, cols), "row, col"))
 
 
 def _structure_triples(field, dim, value, path):
     """Entries as [i, j, k, scalar] quadruples for mul/comul constants."""
-    entries = _as_list(value, path)
-    out = []
-    for n, entry in enumerate(entries):
-        epath = f"{path}[{n}]"
-        row = _as_list(entry, epath)
-        if len(row) != 4:
-            _fail("expected [i, j, k, scalar]", epath)
-        out.append((_as_index(row[0], dim, f"{epath}[0]"),
-                    _as_index(row[1], dim, f"{epath}[1]"),
-                    _as_index(row[2], dim, f"{epath}[2]"),
-                    _as_scalar(field, row[3], f"{epath}[3]")))
-    return out
+    return _entries(field, value, path, (dim, dim, dim), "i, j, k")
 
 
-def _action_matrices(field, dh, rows, cols, value, path):
+def _action_matrices(field, dh, dim, value, path):
     """Entries as [hopf index, row, col, scalar]; one matrix per Hopf basis."""
-    entries = _as_list(value, path)
-    accs = [{} for _ in range(dh)]
-    for k, entry in enumerate(entries):
-        epath = f"{path}[{k}]"
-        row = _as_list(entry, epath)
-        if len(row) != 4:
-            _fail("expected [hopf, row, col, scalar]", epath)
-        a = _as_index(row[0], dh, f"{epath}[0]")
-        i = _as_index(row[1], rows, f"{epath}[1]")
-        j = _as_index(row[2], cols, f"{epath}[2]")
-        s = _as_scalar(field, row[3], f"{epath}[3]")
-        accs[a][i, j] = accs[a].get((i, j), 0) + s
-    return [Matrix.from_entries(field, rows, cols, [(i, j, v) for (i, j), v in acc.items()])
-            for acc in accs]
+    per_basis = [[] for _ in range(dh)]
+    for a, i, j, s in _entries(field, value, path, (dh, dim, dim), "hopf, row, col"):
+        per_basis[a].append((i, j, s))
+    return [Matrix.from_entries(field, dim, dim, e) for e in per_basis]
 
 
 def _parse_field(value, path):
@@ -240,7 +224,7 @@ def _parse_module_coalgebra(hopf, value, path):
         F, dim,
         _structure_triples(F, dim, _get(obj, "comul", path), f"{path}.comul"),
         _scalar_list(F, _get(obj, "counit", path), dim, f"{path}.counit"))
-    mats = _action_matrices(F, hopf.dim, dim, dim, _get(obj, "action", path),
+    mats = _action_matrices(F, hopf.dim, dim, _get(obj, "action", path),
                             f"{path}.action")
     try:
         return ModuleCoalgebraData(coalgebra, ModuleRep(hopf, "left", mats))
@@ -261,7 +245,7 @@ def _parse_module_algebra(hopf, value, path):
         F, dim,
         _structure_triples(F, dim, _get(obj, "mul", path), f"{path}.mul"),
         _scalar_list(F, _get(obj, "unit", path), dim, f"{path}.unit"))
-    mats = _action_matrices(F, hopf.dim, dim, dim, _get(obj, "action", path),
+    mats = _action_matrices(F, hopf.dim, dim, _get(obj, "action", path),
                             f"{path}.action")
     try:
         return ModuleAlgebraData(algebra, ModuleRep(hopf, "left", mats))
@@ -293,7 +277,7 @@ def _parse_coefficient(hopf, value, path):
                                      f"{path}.alpha_row")
             return cid, one_dim_coefficient(hopf, flavour, character, alpha_row)
         dim = _as_dim(obj, path)
-        mats = _action_matrices(F, hopf.dim, dim, dim, _get(obj, "action", path),
+        mats = _action_matrices(F, hopf.dim, dim, _get(obj, "action", path),
                                 f"{path}.action")
         alpha = _sparse_matrix(F, dim, hopf.dim * dim, _get(obj, "alpha", path),
                                f"{path}.alpha")
@@ -306,7 +290,7 @@ def _parse_coefficient(hopf, value, path):
             _fail(str(e), path)
     if kind == "ayd_module":
         dim = _as_dim(obj, path)
-        mats = _action_matrices(F, hopf.dim, dim, dim, _get(obj, "action", path),
+        mats = _action_matrices(F, hopf.dim, dim, _get(obj, "action", path),
                                 f"{path}.action")
         coaction = _sparse_matrix(F, hopf.dim * dim, dim,
                                   _get(obj, "coaction", path), f"{path}.coaction")

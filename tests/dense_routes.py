@@ -6,7 +6,9 @@ build each operator as a full matrix on Hom(X, M): precomposition with a map
 g is kron(g^T, I_M), and the contramodule map is reached through a dense
 rotation of the tensor legs, a re-currying permutation and kron(I, alpha).  The hom bimodule of a module algebra, whose
 right action takes the same route, lives here too, and so does the dense
-iterated coproduct that `HopfData.comul_terms` computes sparsely.
+iterated coproduct that `HopfData.comul_terms` computes sparsely.  An
+equivariant basis, kept by the package as sparse columns only, is
+densified here (`dense_basis`) for the oracles to solve against.
 """
 
 from hopfcontra.ayd import ensure_coefficient_checked
@@ -14,6 +16,17 @@ from hopfcontra.cyclic import check_module_algebra
 from hopfcontra.errors import PrerequisiteFailed
 from hopfcontra.exactla import Matrix, kron, split_index
 from hopfcontra.report import Report
+
+
+def dense_columns(field, rows, columns):
+    """The rows x len(columns) matrix with the given sparse {row: scalar} columns."""
+    return Matrix.from_entries(field, rows, len(columns),
+                               [(i, k, v) for k, col in enumerate(columns) for i, v in col.items()])
+
+
+def dense_basis(field, basis):
+    """An equivariant basis as its dense ambient x dim matrix."""
+    return dense_columns(field, basis.ambient, basis.columns)
 
 
 def iterated_comul(h, k):

@@ -96,6 +96,17 @@ def rank_of(matrix):
     return modp_rank(rows, matrix.field.p)
 
 
+def entry_sums(rows, cols, entries, p=None):
+    """Row-major entries of the matrix whose (i, j) entry is the sum of the
+    scalars of every (i, j, scalar) triple, over the rationals or mod p."""
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for i, j, v in entries:
+        out[i][j] = out[i][j] + v
+    if p is None:
+        return out
+    return [[int(v) % p for v in row] for row in out]
+
+
 def homology_dim(d_in, d_out):
     """dim ker(d_out) - rank(d_in) from two package matrices, by plain ranks."""
     return d_out.cols - rank_of(d_out) - rank_of(d_in)

@@ -20,7 +20,7 @@ from hopfcontra.exactla import Matrix, kron, solve_columns
 from hopfcontra.reps import ContraRep, ModuleRep
 from hopfcontra.session import load_session
 
-from dense_routes import dense_operators
+from dense_routes import dense_basis, dense_operators
 from explicit_hopf import relabelled_session, taft_session
 from test_equivariant_bases import matrix_digest
 
@@ -75,7 +75,8 @@ def test_restricted_operators_match_dense_assembly(case, tmp_path, h4):
     for name, n, index, op, src, dst in dense_operators(kind, data, coeff, top):
         got = (cx.cyclers[n] if name == "cyclic operator"
                else (cx.faces if name == "face" else cx.degens)[n][index])
-        want = solve_columns(cx.bases[dst].space.basis, op @ cx.bases[src].space.basis)
+        want = solve_columns(dense_basis(cx.field, cx.bases[dst]),
+                             op @ dense_basis(cx.field, cx.bases[src]))
         assert want is not None, (name, index, n)
         assert matrix_digest(got) == matrix_digest(want), (name, index, n)
         checked += 1

@@ -71,10 +71,9 @@ def _connes_digests(name):
             out[f"quotient at degree {n}"] = [qdim, matrix_digest(proj),
                                               matrix_digest(lift)]
         else:
-            rank, kernel, image = rank_kernel_image(one_minus)
-            ker[n] = kernel.basis
-            out[f"invariants at degree {n}"] = [rank, matrix_digest(kernel.basis),
-                                                matrix_digest(image.basis)]
+            rank, ker[n], image = rank_kernel_image(one_minus)
+            out[f"invariants at degree {n}"] = [rank, matrix_digest(ker[n]),
+                                                matrix_digest(image)]
     if cx.kind == "cocyclic":
         for n in range(1, top + 1):
             b = _alt_sum(cx.faces[n])

@@ -22,6 +22,8 @@ from hopfcontra.errors import NotEquivariant
 from hopfcontra.exactla import Matrix, kron, solve_columns
 from hopfcontra.session import load_session
 
+from dense_routes import dense_basis
+
 ROOT = Path(__file__).resolve().parent.parent
 SESSIONS = ROOT / "sessions"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "equivariant_bases.json"
@@ -35,7 +37,8 @@ def matrix_digest(m):
 
 
 def complex_digests(cx):
-    out = {f"basis {n}": matrix_digest(b.space.basis) for n, b in enumerate(cx.bases)}
+    out = {f"basis {n}": matrix_digest(dense_basis(cx.field, b))
+           for n, b in enumerate(cx.bases)}
     for n, ops in cx.faces.items():
         for i, op in enumerate(ops):
             out[f"face {i} at degree {n}"] = matrix_digest(op)
@@ -109,10 +112,9 @@ def test_equivariant_dimensions_agree_over_q_and_gf7(tmp_path):
         assert dims["Q"] == dims["GF7"], path.name
 
 
-def _sparse_images(op, src):
-    """The columns of op @ src.basis as {coordinate: scalar} dicts."""
-    y = op @ src.space.basis
-    return [{i: row[k] for i, row in enumerate(y.data) if row[k]} for k in range(y.cols)]
+def _sparse_images(op, basis):
+    """The columns of op @ basis as {coordinate: scalar} dicts."""
+    return (op @ basis).sparse_columns()
 
 
 @pytest.mark.parametrize("session, cid", [("c2_trivial", "k"), ("h4_cyclic", "ndual")])
@@ -124,20 +126,22 @@ def test_restrict_matches_solve_columns(session, cid):
     F, dx, dm = coeff.field, coalg.dim, coeff.dim
     src = equivariant_hom_basis(coalg.action, coeff, 2)
     dst = equivariant_hom_basis(coalg.action, coeff, 1)
-    assert [{c: v for c, v in enumerate(src.space.basis.col(k)) if v}
-            for k in range(src.dim)] == src.columns
+    src_basis, dst_basis = dense_basis(F, src), dense_basis(F, dst)
+    # the sparse columns are the identity on the free coordinates
+    assert [[src_basis.entry(f, k) for k in range(src.dim)] for f in src.free] == \
+        Matrix.identity(F, src.dim).data
     comul = coalg.coalgebra.comul
     eye = Matrix.identity(F, dx)
     for g in (kron(comul, eye), kron(eye, comul)):
         op = kron(g.transpose(), Matrix.identity(F, dm))
-        want = solve_columns(dst.space.basis, op @ src.space.basis)
+        want = solve_columns(dst_basis, op @ src_basis)
         assert want is not None
-        got = cyclic._restrict("face", 2, _sparse_images(op, src), dst)
+        got = cyclic._restrict(F, "face", 2, _sparse_images(op, src_basis), dst)
         assert matrix_digest(got) == matrix_digest(want)
     # a single entry moving the first basis vector onto one coordinate
-    stray = Matrix.zeros(F, dst.ambient, src.ambient)
-    stray.data[0][src.space.basis.col(0).index(F.one)] = F.one
-    assert solve_columns(dst.space.basis, stray @ src.space.basis) is None
+    stray = Matrix.from_entries(F, dst.ambient, src.ambient,
+                                [(0, src_basis.col(0).index(F.one), 1)])
+    assert solve_columns(dst_basis, stray @ src_basis) is None
     with pytest.raises(NotEquivariant, match="stray at degree 2 does not preserve") as exc:
-        cyclic._restrict("stray", 2, _sparse_images(stray, src), dst)
+        cyclic._restrict(F, "stray", 2, _sparse_images(stray, src_basis), dst)
     assert (exc.value.operator, exc.value.degree) == ("stray", 2)

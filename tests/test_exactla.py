@@ -17,6 +17,7 @@ from hopfcontra.exactla import (GF, QQ, Matrix, combine, homology_dims, hstack,
                                 vstack)
 
 import oracles
+from dense_routes import dense_columns
 from oracles import frac_rank, frac_rref, modp_rank, modp_rref, rank_of as oracle_rank
 
 F7 = GF(7)
@@ -44,8 +45,8 @@ dims = st.integers(1, 4)
 
 
 def test_field_kinds():
-    assert QQ.kind == "Rationals" and QQ.characteristic == 0
-    assert F7.kind == "PrimeField" and F7.characteristic == 7
+    assert QQ.characteristic == 0
+    assert F7.characteristic == 7
     with pytest.raises(ValueError):
         GF(6)
 
@@ -90,10 +91,10 @@ def test_known_rank_one_kernel():
     m = Matrix.from_rows(QQ, [[1, 1], [2, 2]])
     rank, kernel, image = rank_kernel_image(m)
     assert rank == 1
-    assert kernel.dim == 1
-    v = kernel.basis.col(0)
+    assert kernel.cols == 1
+    v = kernel.col(0)
     assert v[0] == -v[1] and v[0] != 0
-    assert image.dim == 1
+    assert image.cols == 1
 
 
 def test_zero_dimensional_matrices():
@@ -103,7 +104,7 @@ def test_zero_dimensional_matrices():
     assert (b @ a).shape == (3, 3)
     assert (b @ a).is_zero()
     rank, kernel, image = rank_kernel_image(a)
-    assert rank == 0 and kernel.dim == 3 and image.dim == 0
+    assert rank == 0 and kernel.cols == 3 and image.cols == 0
 
 
 @settings(max_examples=60)
@@ -112,10 +113,10 @@ def test_rank_matches_oracle_rationals(r, c, data):
     m = data.draw(q_matrices(r, c))
     rank, kernel, image = rank_kernel_image(m)
     assert rank == frac_rank(m.data)
-    assert rank + kernel.dim == c
-    assert image.dim == rank
-    if kernel.dim:
-        assert (m @ kernel.basis).is_zero()
+    assert rank + kernel.cols == c
+    assert image.cols == rank
+    if kernel.cols:
+        assert (m @ kernel).is_zero()
 
 
 @settings(max_examples=60)
@@ -124,9 +125,9 @@ def test_rank_matches_oracle_gf7(r, c, data):
     m = data.draw(gf_matrices(r, c))
     rank, kernel, image = rank_kernel_image(m)
     assert rank == modp_rank(m.data, 7)
-    assert rank + kernel.dim == c
-    if kernel.dim:
-        assert (m @ kernel.basis).is_zero()
+    assert rank + kernel.cols == c
+    if kernel.cols:
+        assert (m @ kernel).is_zero()
 
 
 @settings(max_examples=40)
@@ -221,6 +222,39 @@ def test_combine_checks_shape_and_field():
         a + Matrix.identity(QQ, 3)
     with pytest.raises(FieldMismatch):
         a - Matrix.identity(F7, 2)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([QQ, F7]), dims, dims, st.data())
+def test_from_entries_and_sparse_views_against_oracle(field, r, c, data):
+    # ints over Q too, and few positions, so that repeats and cancellations occur
+    scalars = (st.one_of(q_scalars, st.integers(-3, 3)) if field == QQ
+               else st.integers(-9, 9))
+    triple = st.tuples(st.integers(0, r - 1), st.integers(0, c - 1), scalars)
+    triples = data.draw(st.lists(triple, max_size=12))
+    got = Matrix.from_entries(field, r, c, triples)
+    assert got.shape == (r, c)
+    assert got.data == oracles.entry_sums(r, c, triples, field.p)
+    canonical = Fraction if field == QQ else int
+    assert all(type(v) is canonical for row in got.data for v in row)
+    # the sparse views hold exactly the nonzero entries and round-trip
+    rows, cols = got.sparse_rows(), got.sparse_columns()
+    assert len(rows) == r and len(cols) == c
+    from_rows = [(i, j, v) for i, row in enumerate(rows) for j, v in row.items()]
+    from_cols = [(i, j, v) for j, col in enumerate(cols) for i, v in col.items()]
+    assert sorted(from_rows) == sorted(from_cols) == got.nonzero_entries()
+    assert Matrix.from_entries(field, r, c, from_rows) == got
+    assert Matrix.from_entries(field, r, c, from_cols) == got
+    # first_difference agrees with a brute-force scan, on near and equal pairs
+    other = Matrix.from_entries(field, r, c, triples + data.draw(st.lists(triple, max_size=2)))
+    want = next(((i, j) for i in range(r) for j in range(c)
+                 if got.data[i][j] != other.data[i][j]), None)
+    assert got.first_difference(other) == want
+    assert other.first_difference(got) == want
+    assert got.first_difference(got) is None
+    for i, j in ((r, 0), (0, c), (-1, 0), (0, -1)):
+        with pytest.raises(ShapeMismatch):
+            Matrix.from_entries(field, r, c, triples + [(i, j, 1)])
 
 
 def test_stacking():
@@ -335,7 +369,7 @@ def test_sparse_kernel_matches_oracle_rref(r, c, data):
         reduced, want_pivots = _oracle_rref(field, m.data)
         want_free, want_kernel = _oracle_kernel(field, reduced, want_pivots, c)
         assert free == want_free
-        assert _entry_reprs(kernel) == want_kernel
+        assert _entry_reprs(dense_columns(field, c, kernel)) == want_kernel
         assert rref == [{j: v for j, v in enumerate(row) if v} for row in reduced]
         # reduced echelon: a leading one, zero at every other pivot column
         pivots = [min(row) for row in rref]
@@ -345,8 +379,8 @@ def test_sparse_kernel_matches_oracle_rref(r, c, data):
             assert row[pc] == field.one
             assert not any(q in row for q in pivots if q != pc)
         _, via_matrix, _ = rank_kernel_image(m)
-        assert _entry_reprs(via_matrix.basis) == want_kernel
-        kernel_dims[field] = kernel.cols
+        assert _entry_reprs(via_matrix) == want_kernel
+        kernel_dims[field] = len(kernel)
     assert kernel_dims[F7] >= kernel_dims[QQ]
 
 

@@ -193,6 +193,21 @@ def test_sparse_entries_accumulate(tmp_path):
     assert s.coefficients["m"].action.matrices[0].data[0][0] == 2
 
 
+def test_structure_constants_accumulate_too(tmp_path):
+    # e0 e0 listed twice is 2 e0, which breaks the unit laws
+    doubled = dict(EXPLICIT_C2, mul=EXPLICIT_C2["mul"] + [[0, 0, 0, 1]],
+                   comul=EXPLICIT_C2["comul"] + [[1, 1, 1, 1]])
+    s = load_session(_write(tmp_path, {"field": {"kind": "Q"}, "hopf": doubled}))
+    assert s.hopf.mul.entry(0, 0) == 2
+    assert s.hopf.comul.entry(1 * 2 + 1, 1) == 2
+    assert not check_hopf_axioms(s.hopf).ok
+    # over GF(5) the scalars 1, 1 and 4 at one position sum to 6 = 1
+    mod5 = dict(doubled, mul=doubled["mul"] + [[0, 0, 0, 4]])
+    s5 = load_session(_write(tmp_path, {"field": {"kind": "GF", "p": 5}, "hopf": mod5},
+                             name="gf5.session"))
+    assert s5.hopf.mul.entry(0, 0) == 1 and type(s5.hopf.mul.entry(0, 0)) is int
+
+
 def test_homology_kind_required_when_ambiguous(tmp_path):
     both = _base(module_coalgebra={"name": "regular"},
                  module_algebra={"name": "trivial"},
