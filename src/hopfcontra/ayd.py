@@ -30,7 +30,7 @@ from .report import Report
 from .reps import (ComoduleRep, ContraRep, ModuleRep, check_comodule,
                    check_contramodule, check_module, counit_module, dualize_comodule)
 
-_FLAVOURS = ("ll", "lr", "rl", "rr")
+FLAVOUR_CODES = ("ll", "lr", "rl", "rr")
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class AydFlavour:
 
     @classmethod
     def from_code(cls, code: str) -> "AydFlavour":
-        if code not in _FLAVOURS:
-            raise ShapeMismatch(f"flavour must be one of {_FLAVOURS}, got {code!r}")
+        if code not in FLAVOUR_CODES:
+            raise ShapeMismatch(f"flavour must be one of {FLAVOUR_CODES}, got {code!r}")
         sides = {"l": "left", "r": "right"}
         return cls(sides[code[0]], sides[code[1]])
 

@@ -24,7 +24,7 @@ import click
 from . import __version__
 from .ayd import (AydCoefficient, AydModuleData, check_ayd_compatibility,
                   check_ayd_module, check_stability)
-from .cyclic import (build_cocyclic_complex, build_cyclic_complex,
+from .cyclic import (MODES, build_cocyclic_complex, build_cyclic_complex,
                      check_module_algebra, check_module_coalgebra,
                      dim_cap, homology_dims, verify_cyclic_relations)
 from .errors import (HopfContraError, ParseError, TaskError, ValidationError)
@@ -34,7 +34,7 @@ from .homconn import (build_ayd_coring, build_dga, check_coring, check_dimension
 from .hopf import check_hopf_axioms
 from .report import NOTES, Report
 from .reps import check_comodule, check_contramodule, check_module
-from .session import SessionData, TaskSpec, load_session
+from .session import SessionData, TaskSpec, declared_kind, load_session
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -115,8 +115,10 @@ def _run_complex(session: SessionData, task: TaskSpec) -> Report:
     the same kind, coefficient, degree and stability override reuses it.
     """
     kind = task.kind if task.task == "homology" else task.task[len("build-"):]
+    kind = kind or declared_kind(session)
     if kind is None:
-        kind = "cyclic" if session.module_coalgebra is not None else "cocyclic"
+        raise TaskError("homology needs --kind when the session declares "
+                        "both or neither complex structure")
     rep = Report(task.task)
     flavour = "lr" if kind == "cyclic" else "ll"
     for cid, coeff in _pick_coefficients(session, task, flavour=flavour):
@@ -342,7 +344,7 @@ def build_cocyclic(session, out, fmt, max_degree, allow_unstable):
 @_common
 @click.option("--max-degree", default=3, show_default=True,
               help="Top degree of the constructed complex.")
-@click.option("--mode", type=click.Choice(["hochschild", "connes"]),
+@click.option("--mode", type=click.Choice(MODES),
               default="hochschild", show_default=True,
               help="Which dimension table to compute.")
 @click.option("--kind", type=click.Choice(["cyclic", "cocyclic"]), default=None,

@@ -16,6 +16,8 @@ columns of the equivariant basis it starts from.  The images are checked
 against the target basis and read off at its free coordinates, so a
 restriction that fails to close raises NotEquivariant rather than silently
 projecting.  Matrices are read only through `exactla`'s sparse views.
+Every Hochschild and Connes table is read off ranks of one chain complex,
+the transpose of a cocyclic one (`homology_dims`).
 """
 
 from __future__ import annotations
@@ -28,16 +30,15 @@ from .ayd import AydCoefficient, AydFlavour, ensure_coefficient_checked
 from .errors import (CharacteristicUnsupported, CompositionNotZero,
                      DimensionCapExceeded, NotEquivariant, PrerequisiteFailed,
                      ShapeMismatch, ValidationError)
-from .exactla import (Matrix, combine, kron, quotient_projection, rank_kernel_image,
-                      rank_of, solve_columns, sparse_kernel, sparse_quotient,
-                      sparse_vector)
-from .exactla import homology_dims as _middle_homology
+from .exactla import (Matrix, combine, hstack, kron, rank_of, sparse_kernel,
+                      sparse_quotient, sparse_vector, vstack)
 from .hopf import (AlgebraData, CoalgebraData, HopfData, compare_algebra_laws,
                    compare_coalgebra_laws)
 from .report import Report
 from .reps import ModuleRep, check_module, counit_module
 
 DEFAULT_DIM_CAP = 20000
+MODES = ("hochschild", "connes")
 
 
 def dim_cap():
@@ -126,8 +127,8 @@ def build_named_module_algebra(name: str, h: HopfData) -> ModuleAlgebraData:
         L = h.left_mult()
         mats = [combine(F, h.dim, h.dim,
                         [(coeff, L[b] @ h.mult_by(h.antipode_of(c), "right"))
-                         for (b, c, coeff) in terms])
-                for terms in h.coalgebra.comul_terms()]
+                         for ((b, c), coeff) in terms])
+                for terms in h.comul_terms(1)]
         return ModuleAlgebraData(h.algebra, ModuleRep(h, "left", mats))
     from .errors import UnknownName
     raise UnknownName(f"no bundled module algebra named {name!r}")
@@ -144,7 +145,7 @@ def check_module_coalgebra(c: ModuleCoalgebraData) -> Report:
     act = c.action.matrices
     compare_coalgebra_laws(rep, c.coalgebra)
     for a in range(h.dim):
-        diag = _diagonal_square(F, dx, act, h.coalgebra.comul_terms()[a])
+        diag = _diagonal_square(F, dx, act, h.comul_terms(1)[a])
         rep.compare(f"action commutes with comultiplication at basis {a}",
                     com @ act[a], diag @ com, row_dims=(dx, dx), col_dims=(dx,))
         rep.compare(f"action commutes with counit at basis {a}",
@@ -164,7 +165,7 @@ def check_module_algebra(a: ModuleAlgebraData) -> Report:
     act = a.action.matrices
     compare_algebra_laws(rep, a.algebra)
     for t in range(h.dim):
-        diag = _diagonal_square(F, da, act, h.coalgebra.comul_terms()[t])
+        diag = _diagonal_square(F, da, act, h.comul_terms(1)[t])
         rep.compare(f"action respects products at basis {t}",
                     act[t] @ mul, mul @ diag, row_dims=(da,), col_dims=(da, da))
         rep.compare(f"action respects unit at basis {t}",
@@ -174,9 +175,9 @@ def check_module_algebra(a: ModuleAlgebraData) -> Report:
 
 def _diagonal_square(field, dim, act, terms):
     """The diagonal action h_(1) (x) h_(2) on the tensor square, from the
-    coproduct terms [(b, c, scalar)] of h."""
+    coproduct terms [((b, c), scalar)] of h."""
     return combine(field, dim * dim, dim * dim,
-                   [(coeff, kron(act[b], act[c])) for (b, c, coeff) in terms])
+                   [(coeff, kron(act[b], act[c])) for ((b, c), coeff) in terms])
 
 
 def diagonal_power(action: ModuleRep, k: int):
@@ -192,13 +193,13 @@ def diagonal_power(action: ModuleRep, k: int):
         return [[col] for col in h.counit.sparse_columns()]
     first = [m.sparse_columns() for m in action.matrices]
     cur = first
-    terms = h.coalgebra.comul_terms()
+    terms = h.comul_terms(1)
     for _ in range(k - 1):
         size = len(cur[0])
         nxt = []
         for a in range(h.dim):
             cols = [{} for _ in range(action.dim * size)]
-            for (b, c, coeff) in terms[a]:
+            for ((b, c), coeff) in terms[a]:
                 for j1, col1 in enumerate(first[b]):
                     for j2, col2 in enumerate(cur[c]):
                         out = cols[j1 * size + j2]
@@ -321,22 +322,20 @@ class CyclicComplexData:
 
 
 def build_cyclic_complex(c: ModuleCoalgebraData, m: AydCoefficient,
-                         max_degree: int = 3, allow_unstable: bool = False,
-                         require_checked: bool = True) -> CyclicComplexData:
+                         max_degree: int = 3, allow_unstable: bool = False) -> CyclicComplexData:
     """Cyclic complex of a module coalgebra with a left-right coefficient."""
     return _build_complex("cyclic", "lr", c, check_module_coalgebra, c.coalgebra.comul,
-                          c.coalgebra.counit, m, max_degree, allow_unstable, require_checked)
+                          c.coalgebra.counit, m, max_degree, allow_unstable)
 
 
 def build_cocyclic_complex(a: ModuleAlgebraData, m: AydCoefficient,
-                           max_degree: int = 3, allow_unstable: bool = False,
-                           require_checked: bool = True) -> CyclicComplexData:
+                           max_degree: int = 3, allow_unstable: bool = False) -> CyclicComplexData:
     """Cocyclic complex of a module algebra with a left-left coefficient."""
     return _build_complex("cocyclic", "ll", a, check_module_algebra, a.algebra.mul,
-                          a.algebra.unit, m, max_degree, allow_unstable, require_checked)
+                          a.algebra.unit, m, max_degree, allow_unstable)
 
 
-def _build_complex(kind, flavour, data, check, g, e, m, N, allow_unstable, require_checked):
+def _build_complex(kind, flavour, data, check, g, e, m, N, allow_unstable):
     """The complex of `data` with structure map g (comul or mul) and e its
     counit or unit.
 
@@ -357,8 +356,7 @@ def _build_complex(kind, flavour, data, check, g, e, m, N, allow_unstable, requi
     struct = check(data)
     if not struct.ok:
         raise PrerequisiteFailed(f"{struct.title} fails {struct.failures()[0].name}")
-    if require_checked:
-        ensure_coefficient_checked(m, need_stable=not allow_unstable)
+    ensure_coefficient_checked(m, need_stable=not allow_unstable)
     x = data.action
     F = x.field
     dx, dm = x.dim, m.dim
@@ -531,66 +529,56 @@ def verify_cyclic_relations(cx: CyclicComplexData) -> Report:
 
 
 def homology_dims(cx: CyclicComplexData, mode: str = "hochschild"):
-    """Homology dimensions in degrees 0 .. max_degree - 1.
+    """Homology dimensions in degrees 0 .. max_degree - 1, read off ranks.
 
-    mode 'hochschild' uses the alternating face sum; mode 'connes' first
-    passes to the quotient by the image of 1 - (sign) * cyclic operator,
-    which needs characteristic zero.
+    A cocyclic complex is read as the chain complex of its transpose, whose
+    coinvariants are dual to its invariants.  With b_n the alternating face
+    sum, and S_n spanned by 1 - (-1)^n t_n in mode 'connes' (characteristic
+    zero only) and zero in mode 'hochschild', the homology of C / S is
+    H_n = dim C_n - r(S_n) - rho_n - rho_(n+1), where rho_0 = 0 and
+    rho_n = r([b_n | S_(n-1)]) - r(S_(n-1)) is the rank of b_n on C / S.
+    Every b_n S_n, then every b_n b_(n+1), must lie in S_(n-1).
     """
-    if mode not in ("hochschild", "connes"):
+    if mode not in MODES:
         raise ShapeMismatch(f"unknown homology mode {mode!r}")
     F = cx.field
+    if mode == "connes" and F.characteristic != 0:
+        raise CharacteristicUnsupported(
+            "the cyclic quotient needs characteristic zero")
     N = cx.max_degree
+    dims = cx.dims
+    cyclic = cx.kind == "cyclic"
     b = {n: combine(F, *cx.faces[n][0].shape,
                     [((-1) ** i, op) for i, op in enumerate(cx.faces[n])])
          for n in range(1, N + 1)}
-    if mode == "hochschild":
-        dims0 = [cx.bases[n].dim for n in range(N + 1)]
-        return _graded_dims(cx.kind, b, dims0, N)
-    if F.characteristic != 0:
-        raise CharacteristicUnsupported(
-            "the cyclic quotient needs characteristic zero")
-    def one_minus_lambda(n):
-        lam = cx.cyclers[n] if n % 2 == 0 else -cx.cyclers[n]
-        return Matrix.identity(F, cx.bases[n].dim) - lam
-    bq = {}
-    if cx.kind == "cyclic":
-        # chains: the boundary descends to the quotient by im(1 - lambda)
-        proj, lift, qdims = {}, {}, {}
-        for n in range(N + 1):
-            qdims[n], proj[n], lift[n] = quotient_projection(one_minus_lambda(n))
-        for n in range(1, N + 1):
-            if not (proj[n - 1] @ b[n] @ one_minus_lambda(n)).is_zero():
-                raise CompositionNotZero(
-                    f"boundary does not descend to the cyclic quotient at degree {n}", degree=n)
-            bq[n] = proj[n - 1] @ b[n] @ lift[n]
-        space_dims = [qdims[n] for n in range(N + 1)]
-    else:
-        # cochains: the coboundary preserves the lambda-invariant subcomplex
-        ker = {}
-        for n in range(N + 1):
-            _, ker[n], _ = rank_kernel_image(one_minus_lambda(n))
-        for n in range(1, N + 1):
-            restricted = solve_columns(ker[n], b[n] @ ker[n - 1])
-            if restricted is None:
-                raise CompositionNotZero(
-                    f"coboundary leaves the invariant subcomplex at degree {n}", degree=n)
-            bq[n] = restricted
-        space_dims = [ker[n].cols for n in range(N + 1)]
-    return _graded_dims(cx.kind, bq, space_dims, N)
+    S = {}
+    if mode == "connes":
+        S = {n: Matrix.from_entries(F, dims[n], dims[n], [(k, k, 1) for k in range(dims[n])] + [
+            (i, j, (-1) ** (n + 1) * v) for i, j, v in cx.cyclers[n].nonzero_entries()])
+            for n in range(N + 1)}
+    rank_S = [rank_of(S[n]) if S else 0 for n in range(N + 1)]
 
+    # Ranks do not see a transpose, so a cocyclic complex keeps its matrices
+    # as built: products run in the opposite order and [m | S] is m over S.
+    def then(x, y):
+        return x @ y if cyclic else y @ x
 
-def _graded_dims(kind, b, space_dims, N):
-    # degree 0 is weakly covered: kernel of the first arrow out of (into) it
-    out = []
-    for n in range(N):
-        if n == 0:
-            out.append(space_dims[0] - rank_of(b[1]))
-        elif kind == "cyclic":
-            out.append(_middle_homology(b[n + 1], b[n]))
-        else:
-            out.append(_middle_homology(b[n], b[n + 1]))
-    return out
+    def added_rank(m, n):
+        """r([m | S_n]) - r(S_n)"""
+        return rank_of((hstack if cyclic else vstack)([m, S[n]]) if S else m) - rank_S[n]
+
+    if S:
+        descent = ("boundary does not descend to the cyclic quotient" if cyclic
+                   else "coboundary leaves the invariant subcomplex")
+        for n in range(1, N + 1):
+            if added_rank(then(b[n], S[n]), n - 1):
+                raise CompositionNotZero(f"{descent} at degree {n}", degree=n)
+    for n in range(1, N):
+        if added_rank(then(b[n], b[n + 1]), n - 1):
+            raise CompositionNotZero(
+                f"differentials do not compose to zero at degree {n}", degree=n)
+    rho = [0] + [added_rank(b[n], n - 1) for n in range(1, N + 1)]
+    return [dims[n] - rank_S[n] - rho[n] - rho[n + 1] for n in range(N)]
 
 
 @dataclass(frozen=True)

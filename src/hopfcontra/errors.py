@@ -18,12 +18,11 @@ class Singular(HopfContraError):
 
 
 class CompositionNotZero(HopfContraError):
-    """Two differentials fail to compose to zero; carries a witness column
-    or the degree at which a complex's boundary fails, when known."""
+    """A complex's differentials fail to compose to zero, or its boundary
+    fails to descend to a quotient; carries the degree where it fails."""
 
-    def __init__(self, message, column=None, degree=None):
+    def __init__(self, message, degree=None):
         super().__init__(message)
-        self.column = column
         self.degree = degree
 
 

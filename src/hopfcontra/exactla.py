@@ -13,12 +13,11 @@ scalars given at a repeated position.
 
 There is one elimination: the reduced row echelon form of {column: scalar}
 rows behind `sparse_kernel`, which returns its kernel as sparse columns.
-Ranks, kernels, images, solves, inverses and quotient projections all read
-their results off it, and systems that are almost all zeros, like the
+Ranks (`rank_of`), kernels, solves, inverses and quotient projections all
+read their results off it, and systems that are almost all zeros, like the
 H-linearity constraints of an equivariant hom space or the relations of a
 tensor product over H, are written to it as sparse rows directly
-(`sparse_kernel`, `sparse_quotient`).  Only the matrices returned by
-`rank_kernel_image` and `quotient_projection` are dense.
+(`sparse_kernel`, `sparse_quotient`).  Homology needs ranks only.
 
 There is one sum: `combine` adds scaled matrices, visiting only their
 nonzero entries.  `+`, `-`, negation and `scale` call it, and so does
@@ -42,7 +41,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (
-    CompositionNotZero,
     FieldMismatch,
     ShapeMismatch,
     Singular,
@@ -491,21 +489,6 @@ def sparse_kernel(field, rows, ncols):
     return rref, free, [kernel[f] for f in free]
 
 
-def rank_kernel_image(m: Matrix):
-    """Exact rank, kernel basis and image basis of a matrix, the bases as
-    dense matrices.
-
-    rank + dim kernel = cols always; the kernel basis is the identity on
-    the free columns; the image basis is the pivot columns of m itself.
-    """
-    rref, free, kernel = sparse_kernel(m.field, m.sparse_rows(), m.cols)
-    pivots = [min(row) for row in rref]
-    image = Matrix(m.field, m.rows, len(pivots), [[row[c] for c in pivots] for row in m.data])
-    kernel = Matrix.from_entries(m.field, m.cols, len(free), (
-        (i, k, v) for k, col in enumerate(kernel) for i, v in col.items()))
-    return len(rref), kernel, image
-
-
 def rank_of(m: Matrix) -> int:
     return len(_rref(m.field, m.sparse_rows()))
 
@@ -514,8 +497,7 @@ def solve_columns(a: Matrix, b: Matrix):
     """Solve a @ X = b for X, or return None when inconsistent.
 
     Requires the columns of `a` to be linearly independent, which makes any
-    solution unique; this is how operators get re-expressed in subspace bases.
-    X is read off the reduced row echelon form of [a | b].
+    solution unique.  X is read off the reduced row echelon form of [a | b].
     """
     a._check_same_field(b)
     if a.rows != b.rows:
@@ -540,38 +522,16 @@ def inverse(m: Matrix) -> Matrix:
     return sol
 
 
-def homology_dims(d_in: Matrix, d_out: Matrix) -> int:
-    """dim ker(d_out) - rank(d_in) for consecutive differentials.
-
-    d_in maps into the middle space, d_out maps out of it; the composite
-    d_out @ d_in must vanish exactly.
-    """
-    if d_out.cols != d_in.rows:
-        raise ShapeMismatch(
-            f"middle space mismatch: d_out has {d_out.cols} cols, d_in has {d_in.rows} rows"
-        )
-    for j, col in enumerate((d_out @ d_in).sparse_columns()):
-        if col:
-            raise CompositionNotZero(f"d_out @ d_in nonzero at column {j}", column=j)
-    return (d_out.cols - rank_of(d_out)) - rank_of(d_in)
-
-
-def quotient_projection(sub: Matrix):
-    """Projection data for ambient / column-span(sub).
-
-    Returns (dim, proj, lift).  The free columns of the reduced echelon
-    form of sub's columns are the standard coordinates the span misses;
-    lift is the ambient x dim section that selects them, and proj, the
-    transpose of the kernel of sub^T, is the dim x ambient projection that
-    vanishes on the span with proj @ lift = id.  The columns of `sub` may be
-    dependent.
-    """
-    return sparse_quotient(sub.field, sub.sparse_columns(), sub.rows)
-
-
 def sparse_quotient(field, rows, ambient):
-    """quotient_projection for the span of sparse {coordinate: scalar} rows
-    in k^ambient, with no dense matrix of spanning vectors."""
+    """Projection data for k^ambient modulo the span of sparse {coordinate:
+    scalar} rows, which may be dependent.
+
+    Returns (dim, proj, lift).  The free columns of the reduced echelon form
+    of the rows are the standard coordinates the span misses; lift is the
+    ambient x dim section that selects them, and proj, the transpose of the
+    kernel of the rows, is the dim x ambient projection that vanishes on the
+    span with proj @ lift = id.
+    """
     _, free, kernel = sparse_kernel(field, rows, ambient)
     proj = Matrix.from_entries(field, len(free), ambient, (
         (k, i, v) for k, col in enumerate(kernel) for i, v in col.items()))

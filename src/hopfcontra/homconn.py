@@ -326,20 +326,16 @@ def _form_entries(coords, d, right_mats, dm):
                           right_mats, dm)
 
 
-def hom_connection_from_contramodule(m: AydCoefficient, dga: DgaData,
-                                     require_checked=True) -> HomConnectionData:
+def hom_connection_from_contramodule(m: AydCoefficient, dga: DgaData) -> HomConnectionData:
     """nabla0(f) applies the structure map to f composed with the projection
     onto the counit kernel; nabla1 extends it to one-form arguments.
 
     The coefficient must be right-right and pass compatibility; stability is
-    not required.  require_checked=False skips the compatibility gate so that
-    deliberately broken coefficients can be pushed through to a nonzero
-    curvature."""
+    not required."""
     if m.flavour.code != "rr":
         raise PrerequisiteFailed(
             f"hom connections need a right-right coefficient, got {m.flavour.code}")
-    if require_checked:
-        ensure_coefficient_checked(m, need_stable=False)
+    ensure_coefficient_checked(m, need_stable=False)
     F = m.field
     h = dga.hopf
     d, dm, dplus = h.dim, m.dim, dga.plus_dim

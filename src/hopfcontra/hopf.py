@@ -57,15 +57,6 @@ class CoalgebraData:
             self._cache["cop"] = CoalgebraData(self.field, self.dim, swap @ self.comul, self.counit)
         return self._cache["cop"]
 
-    def comul_terms(self):
-        """Per basis index i, the sparse list [(j, k, scalar)] of coproduct terms."""
-        if "terms" not in self._cache:
-            terms = [[] for _ in range(self.dim)]
-            for (row, i, c) in self.comul.nonzero_entries():
-                terms[i].append((row // self.dim, row % self.dim, c))
-            self._cache["terms"] = terms
-        return self._cache["terms"]
-
 
 class AlgebraData:
     """Finite dimensional unital algebra: multiplication matrix plus unit column."""
@@ -177,8 +168,8 @@ class HopfData:
     def comul_terms(self, k=1):
         """Per basis index, the sparse terms of the k-fold coproduct
         H -> H^(x)(k+1) as [(index tuple of length k+1, scalar)], sorted by
-        index tuple; k = 0 is the identity.  Each k expands the first leg of
-        the (k-1)-fold terms by the coproduct."""
+        index tuple; k = 0 is the identity, k = 1 is read off comul, and each
+        further k expands the first leg of the (k-1)-fold terms by comul."""
         key = ("terms", k)
         if key not in self._cache:
             if k < 0:
@@ -186,14 +177,18 @@ class HopfData:
             F = self.field
             if k == 0:
                 terms = [[((i,), F.one)] for i in range(self.dim)]
+            elif k == 1:
+                terms = [[] for _ in range(self.dim)]
+                for row, i, c in self.comul.nonzero_entries():
+                    terms[i].append((divmod(row, self.dim), c))
             else:
-                first = self.coalgebra.comul_terms()
+                first = self.comul_terms(1)
                 terms = []
                 for prev in self.comul_terms(k - 1):
                     acc = {}
                     for idx, c in prev:
-                        for j, l, c2 in first[idx[0]]:
-                            legs = (j, l) + idx[1:]
+                        for head, c2 in first[idx[0]]:
+                            legs = head + idx[1:]
                             acc[legs] = acc.get(legs, 0) + c * c2
                     terms.append(sorted(sparse_vector(F, acc).items()))
             self._cache[key] = terms
@@ -250,11 +245,11 @@ def check_hopf_axioms(h: HopfData) -> Report:
 
     # Bialgebra: comul and counit are algebra maps.
     # (comul (x) comul) with its middle legs swapped, written from the terms
-    terms = h.coalgebra.comul_terms()
+    terms = h.comul_terms(1)
     mid_swapped = Matrix.from_entries(F, d ** 4, d * d, [
         (((a * d + c) * d + b) * d + e, i * d + j, v * w)
         for i in range(d) for j in range(d)
-        for (a, b, v) in terms[i] for (c, e, w) in terms[j]])
+        for ((a, b), v) in terms[i] for ((c, e), w) in terms[j]])
     rep.compare(
         "comultiplication multiplicative",
         com @ mul, kron(mul, mul) @ mid_swapped,

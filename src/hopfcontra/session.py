@@ -19,9 +19,9 @@ import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .ayd import (AydCoefficient, AydFlavour, AydModuleData,
+from .ayd import (FLAVOUR_CODES, AydCoefficient, AydFlavour, AydModuleData,
                   build_trivial_coefficient, one_dim_coefficient)
-from .cyclic import (ModuleAlgebraData, ModuleCoalgebraData,
+from .cyclic import (MODES, ModuleAlgebraData, ModuleCoalgebraData,
                      build_named_module_algebra, build_named_module_coalgebra,
                      dim_cap)
 from .errors import (CharacteristicClash, HopfContraError, ParseError,
@@ -31,8 +31,6 @@ from .hopf import AlgebraData, CoalgebraData, HopfData, build_named_example
 from .reps import ComoduleRep, ContraRep, ModuleRep
 
 TASK_NAMES = ("check", "build-cyclic", "build-cocyclic", "homology", "homconn")
-FLAVOUR_CODES = ("ll", "lr", "rl", "rr")
-MODES = ("hochschild", "connes")
 
 
 @dataclass
@@ -303,6 +301,14 @@ def _parse_coefficient(hopf, value, path):
           f"{path}.kind")
 
 
+def declared_kind(session):
+    """The one kind of complex the session declares; None for both or neither."""
+    has_c = session.module_coalgebra is not None
+    if has_c == (session.module_algebra is not None):
+        return None
+    return "cyclic" if has_c else "cocyclic"
+
+
 def _parse_task(session, value, path):
     obj = _as_object(value, path)
     name = _get(obj, "task", path)
@@ -332,12 +338,10 @@ def _parse_task(session, value, path):
             _fail('kind must be "cyclic" or "cocyclic"', f"{path}.kind")
         spec.kind = obj["kind"]
     if name == "homology" and spec.kind is None:
-        has_c = session.module_coalgebra is not None
-        has_a = session.module_algebra is not None
-        if has_c == has_a:
+        spec.kind = declared_kind(session)
+        if spec.kind is None:
             _fail('homology task needs "kind" when the session declares '
                   "both or neither complex structure", path)
-        spec.kind = "cyclic" if has_c else "cocyclic"
     if name == "build-cyclic" or (name == "homology" and spec.kind == "cyclic"):
         if session.module_coalgebra is None:
             _fail("task needs a module_coalgebra in the session", path)

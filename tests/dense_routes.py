@@ -9,12 +9,21 @@ right action takes the same route, lives here too, and so does the dense
 iterated coproduct that `HopfData.comul_terms` computes sparsely.  An
 equivariant basis, kept by the package as sparse columns only, is
 densified here (`dense_basis`) for the oracles to solve against.
+
+The package reads every homology table off ranks of one chain complex.
+The three routes it used before are kept here as its oracle
+(`quotient_route_dims`): Hochschild tables from the middle homology of
+consecutive boundaries, Connes tables of a cyclic complex through the dense
+quotient projection and section, and those of a cocyclic complex through
+the invariant kernels and the coboundaries solved into them.
 """
 
 from hopfcontra.ayd import ensure_coefficient_checked
 from hopfcontra.cyclic import check_module_algebra
-from hopfcontra.errors import PrerequisiteFailed
-from hopfcontra.exactla import Matrix, kron, split_index
+from hopfcontra.errors import (CharacteristicUnsupported, CompositionNotZero,
+                               PrerequisiteFailed, ShapeMismatch)
+from hopfcontra.exactla import (Matrix, combine, kron, rank_of, solve_columns,
+                                sparse_kernel, sparse_quotient, split_index)
 from hopfcontra.report import Report
 
 
@@ -27,6 +36,87 @@ def dense_columns(field, rows, columns):
 def dense_basis(field, basis):
     """An equivariant basis as its dense ambient x dim matrix."""
     return dense_columns(field, basis.ambient, basis.columns)
+
+
+def rank_kernel_image(m):
+    """Exact rank, kernel basis and image basis of a matrix, the bases as
+    dense matrices: the kernel is the identity on the free columns, the
+    image is the pivot columns of m itself."""
+    rref, free, kernel = sparse_kernel(m.field, m.sparse_rows(), m.cols)
+    columns = m.sparse_columns()
+    image = [columns[min(row)] for row in rref]
+    return len(rref), dense_columns(m.field, m.cols, kernel), dense_columns(m.field, m.rows, image)
+
+
+def quotient_projection(sub):
+    """(dim, proj, lift) for the ambient space modulo the column span of
+    sub: proj vanishes on the span, lift selects the standard coordinates
+    the span misses, and proj @ lift = id."""
+    return sparse_quotient(sub.field, sub.sparse_columns(), sub.rows)
+
+
+def middle_homology(d_in, d_out):
+    """dim ker(d_out) - rank(d_in); the composite d_out @ d_in must vanish."""
+    if not (d_out @ d_in).is_zero():
+        raise CompositionNotZero("d_out @ d_in is not zero")
+    return (d_out.cols - rank_of(d_out)) - rank_of(d_in)
+
+
+def quotient_route_dims(cx, mode="hochschild"):
+    """Homology dimensions in degrees 0 .. max_degree - 1 by the routes the
+    package replaced: the alternating face sums themselves in mode
+    'hochschild'; in mode 'connes' the boundaries pushed to the quotient by
+    the image of 1 - (sign) * cyclic operator (cyclic) or restricted to its
+    kernel (cocyclic)."""
+    if mode not in ("hochschild", "connes"):
+        raise ShapeMismatch(f"unknown homology mode {mode!r}")
+    F = cx.field
+    N = cx.max_degree
+    b = {n: combine(F, *cx.faces[n][0].shape,
+                    [((-1) ** i, op) for i, op in enumerate(cx.faces[n])])
+         for n in range(1, N + 1)}
+    if mode == "hochschild":
+        return _graded_dims(cx.kind, b, cx.dims, N)
+    if F.characteristic != 0:
+        raise CharacteristicUnsupported("the cyclic quotient needs characteristic zero")
+
+    def one_minus_lambda(n):
+        lam = cx.cyclers[n] if n % 2 == 0 else -cx.cyclers[n]
+        return Matrix.identity(F, cx.bases[n].dim) - lam
+
+    bq = {}
+    if cx.kind == "cyclic":
+        proj, lift, qdims = {}, {}, {}
+        for n in range(N + 1):
+            qdims[n], proj[n], lift[n] = quotient_projection(one_minus_lambda(n))
+        for n in range(1, N + 1):
+            if not (proj[n - 1] @ b[n] @ one_minus_lambda(n)).is_zero():
+                raise CompositionNotZero(
+                    f"boundary does not descend to the cyclic quotient at degree {n}", degree=n)
+            bq[n] = proj[n - 1] @ b[n] @ lift[n]
+        space_dims = [qdims[n] for n in range(N + 1)]
+    else:
+        ker = {n: rank_kernel_image(one_minus_lambda(n))[1] for n in range(N + 1)}
+        for n in range(1, N + 1):
+            bq[n] = solve_columns(ker[n], b[n] @ ker[n - 1])
+            if bq[n] is None:
+                raise CompositionNotZero(
+                    f"coboundary leaves the invariant subcomplex at degree {n}", degree=n)
+        space_dims = [ker[n].cols for n in range(N + 1)]
+    return _graded_dims(cx.kind, bq, space_dims, N)
+
+
+def _graded_dims(kind, b, space_dims, N):
+    # degree 0 is weakly covered: kernel of the first arrow out of (into) it
+    out = []
+    for n in range(N):
+        if n == 0:
+            out.append(space_dims[0] - rank_of(b[1]))
+        elif kind == "cyclic":
+            out.append(middle_homology(b[n + 1], b[n]))
+        else:
+            out.append(middle_homology(b[n], b[n + 1]))
+    return out
 
 
 def iterated_comul(h, k):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+from hopfcontra import homconn
 from hopfcontra.ayd import (AydFlavour, build_trivial_coefficient,
                             check_ayd_compatibility, check_stability,
                             dualize_ayd_module, one_dim_coefficient)
@@ -243,7 +244,7 @@ def test_c09_homology_tables_match_frozen_goldens(c2, h4, trivial):
     assert [homology_dim(b[n + 1], b[n]) for n in range(3)] == [1, 0, 0]
 
 
-def test_c10_connections_are_flat_and_corruption_is_caught(c2, h4, h4_gf7):
+def test_c10_connections_are_flat_and_corruption_is_caught(c2, h4, h4_gf7, monkeypatch):
     for h in (c2, h4, h4_gf7):
         dga = build_dga(h)
         assert (dga.d1 @ dga.d0).is_zero()
@@ -259,8 +260,9 @@ def test_c10_connections_are_flat_and_corruption_is_caught(c2, h4, h4_gf7):
     assert check_leibniz(hc4).ok
     assert curvature_and_flatness(hc4)[0].is_zero()
     bad = one_dim_coefficient(h4, RR, [1, 1, 0, 0], [0, 0, 1, 0])
-    hcb = hom_connection_from_contramodule(bad, build_dga(h4),
-                                           require_checked=False)
+    # pushed past the compatibility gate
+    monkeypatch.setattr(homconn, "ensure_coefficient_checked", lambda *args, **kw: None)
+    hcb = hom_connection_from_contramodule(bad, build_dga(h4))
     curvature, rep = curvature_and_flatness(hcb)
     assert not curvature.is_zero()
     witness = rep.failures()[0].witness

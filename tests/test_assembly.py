@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from hopfcontra import cyclic
 from hopfcontra.ayd import (AydCoefficient, AydFlavour,
                             build_trivial_coefficient, one_dim_coefficient)
 from hopfcontra.cyclic import (build_cocyclic_complex, build_cyclic_complex,
@@ -85,12 +86,13 @@ def test_restricted_operators_match_dense_assembly(case, tmp_path, h4):
                        + len(cx.cyclers))
 
 
-def test_errors_carry_degree_and_operator(c2, h4):
+def test_errors_carry_degree_and_operator(c2, h4, monkeypatch):
     # unchecked, the trivial lr coefficient of H4 breaks equivariance
+    monkeypatch.setattr(cyclic, "ensure_coefficient_checked", lambda *args, **kw: None)
     bad = build_trivial_coefficient(h4, AydFlavour.from_code("lr"))
     with pytest.raises(NotEquivariant) as exc:
         build_cyclic_complex(build_named_module_coalgebra("regular", h4),
-                             bad, max_degree=1, require_checked=False)
+                             bad, max_degree=1)
     err = exc.value
     assert str(err) == f"{err.operator} at degree {err.degree} does not preserve " \
                        "the equivariant subspaces"

@@ -272,6 +272,23 @@ def test_homology_subcommand_tables():
     assert "connes homology dimensions: 1 0 1" in res.output
 
 
+def test_homology_needs_kind_when_both_structures_are_declared(tmp_path):
+    doc = {"field": {"kind": "Q"}, "hopf": {"name": "group_C2"},
+           "module_coalgebra": {"name": "regular"}, "module_algebra": {"name": "trivial"},
+           "coefficients": [{"id": "r", "kind": "contramodule", "flavour": "lr", "name": "trivial"},
+                            {"id": "l", "kind": "contramodule", "flavour": "ll", "name": "trivial"}]}
+    p = tmp_path / "both.session"
+    p.write_text(json.dumps(doc))
+    res = _invoke(["homology", p, "--max-degree", 2])
+    assert res.exit_code == 5, res.output
+    assert res.stderr == ("task error: homology needs --kind when the session declares "
+                          "both or neither complex structure (task 1: homology)\n")
+    for kind, cid in (("cocyclic", "l"), ("cyclic", "r")):
+        res = _invoke(["homology", p, "--max-degree", 2, "--kind", kind])
+        assert res.exit_code == 0, res.output
+        assert f"table coefficient {cid}: hochschild homology dimensions: 1 0" in res.output
+
+
 def test_homconn_needs_an_rr_coefficient():
     res = _invoke(["homconn", SESSIONS / "c2_trivial.session"])
     assert res.exit_code == 5

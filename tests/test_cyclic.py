@@ -176,11 +176,12 @@ def test_flavour_gates(c2):
         build_cocyclic_complex(alg, lr, max_degree=1)
 
 
-def test_not_equivariant_without_gate(h4):
+def test_not_equivariant_without_gate(h4, monkeypatch):
+    monkeypatch.setattr(cyclic, "ensure_coefficient_checked", lambda *args, **kw: None)
     bad = build_trivial_coefficient(h4, AydFlavour.from_code("lr"))
     with pytest.raises(NotEquivariant):
         build_cyclic_complex(build_named_module_coalgebra("regular", h4),
-                             bad, max_degree=1, require_checked=False)
+                             bad, max_degree=1)
 
 
 def test_dimension_cap(h4, monkeypatch):

@@ -1,5 +1,6 @@
 import pytest
 
+from hopfcontra import homconn
 from hopfcontra.ayd import (AydFlavour, build_trivial_coefficient,
                             one_dim_coefficient)
 from hopfcontra.errors import CounitDegenerate, PrerequisiteFailed
@@ -180,12 +181,12 @@ def test_connection_rejects_other_flavours(c2):
         hom_connection_from_contramodule(coeff, dga)
 
 
-def test_corrupted_coefficient_has_curvature(h4):
+def test_corrupted_coefficient_has_curvature(h4, monkeypatch):
     # pushed past the gate, the broken structure map fails the product rule
     # and the curvature picks up a nonzero entry with an exact witness
+    monkeypatch.setattr(homconn, "ensure_coefficient_checked", lambda *args, **kw: None)
     dga = build_dga(h4)
-    hc = hom_connection_from_contramodule(_corrupted_rr(h4), dga,
-                                          require_checked=False)
+    hc = hom_connection_from_contramodule(_corrupted_rr(h4), dga)
     leib = check_leibniz(hc)
     assert not leib.ok
     curvature, rep = curvature_and_flatness(hc)
@@ -195,11 +196,12 @@ def test_corrupted_coefficient_has_curvature(h4):
         "row": 0, "col": 1, "lhs": "-1", "rhs": "0"}
 
 
-def test_leibniz_failure_alone_does_not_force_curvature(h4):
+def test_leibniz_failure_alone_does_not_force_curvature(h4, monkeypatch):
     # evaluation at 1 breaks the product rule yet still composes to zero
+    monkeypatch.setattr(homconn, "ensure_coefficient_checked", lambda *args, **kw: None)
     dga = build_dga(h4)
     coeff = one_dim_coefficient(h4, RR, [1, 1, 0, 0], [1, 0, 0, 0])
-    hc = hom_connection_from_contramodule(coeff, dga, require_checked=False)
+    hc = hom_connection_from_contramodule(coeff, dga)
     assert not check_leibniz(hc).ok
     assert curvature_and_flatness(hc)[0].is_zero()
 
