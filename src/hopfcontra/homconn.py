@@ -12,11 +12,12 @@ right-right coefficient induces nabla: Hom(Omega^1, M) -> M; the induced
 pair (nabla1, nabla0) composes to zero exactly when the coefficient is
 compatible, which curvature_and_flatness verifies.
 
-Every structure operator here is a Sweedler-leg sum, written as one
-`combine` call over kron products of leg operators or, when each term puts
-an operator into one block, as one list of entries for `from_entries`.  The
-largest space involved is H (x) H (x) H, and its dimension is checked
-against the cap before anything is built.
+No structure map on H (x) H (x) H or beyond is built as a matrix: the
+twisted actions, one-leg multiplications, coproducts, counits and the raw
+degree maps are applied to sparse {index: scalar} columns (`_apply`), as
+`cyclic` applies its operators, and the coring laws compare such columns
+(`Report.compare_columns`).  The coring and calculus matrices kept have at
+most d^5 cells, d = dim H, and d^3 is checked against the cap first.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .ayd import AydCoefficient, check_ayd_compatibility, ensure_coefficient_che
 from .ayd import _transport_operator
 from .cyclic import dim_cap
 from .errors import CounitDegenerate, DimensionCapExceeded, PrerequisiteFailed
-from .exactla import Matrix, combine, inverse, kron
+from .exactla import Matrix, inverse, kron, sparse_vector
 from .hopf import HopfData, check_hopf_axioms
 from .report import Report
 from .reps import check_contramodule
@@ -42,23 +43,51 @@ def check_dimension_cap(h: HopfData):
             f"threefold tensor power dimension {h.dim ** 3} exceeds the cap {cap}")
 
 
-def _twisted_left_action(h: HopfData, n: int):
-    """Operators on H^(x)n of the twisting h.(u (x) x) = h_(1) u Sinv(h_(3)) (x) h_(2) x
-    (n = 2) and its transport to more factors: with the 2n-1 legs of the
-    (2n-2)-fold coproduct, factor i < n-1 is L(leg i) R(Sinv(leg 2n-2-i)) and
-    the last factor is L(leg n-1)."""
-    L = h.left_mult()
+def _apply(F, op, columns, rows=0, post=1):
+    """op, given by its sparse columns, applied to one slot of each sparse
+    tensor column: post is the dimension of the slots right of it, and rows,
+    op's output dimension, matters only when slots lie left of it."""
+    width = len(op) * post
+    out = []
+    for vec in columns:
+        acc = {}
+        for idx, v in vec.items():
+            pre, rest = divmod(idx, width)
+            s, rest = divmod(rest, post)
+            for r, w in op[s].items():
+                k = (pre * rows + r) * post + rest
+                acc[k] = acc[k] + v * w if k in acc else v * w
+        out.append(sparse_vector(F, acc))
+    return out
 
-    def term(legs):
-        op = L[legs[n - 1]]
-        for i in reversed(range(n - 1)):
-            twist = h.mult_by(h.antipode_inv_of(legs[2 * n - 2 - i]), "right")
-            op = kron(L[legs[i]] @ twist, op)
-        return op
 
-    size = h.dim ** n
-    return [combine(h.field, size, size, [(coeff, term(legs)) for legs, coeff in terms])
-            for terms in h.comul_terms(2 * n - 2)]
+def _from_columns(F, rows, columns):
+    return Matrix.from_entries(F, rows, len(columns), (
+        (i, j, v) for j, col in enumerate(columns) for i, v in col.items()))
+
+
+def _twisted_columns(h: HopfData, n: int):
+    """Per basis a, the sparse columns of h.(u (x) x) = h_(1) u Sinv(h_(3)) (x)
+    h_(2) x on H^(x)n (n = 2) or its transport: over the legs of the (2n-2)-fold
+    coproduct, factor i < n-1 is L(leg i) R(Sinv(leg 2n-2-i)), the last L(leg n-1)."""
+    F, d, L = h.field, h.dim, h.left_mult()
+    out = []
+    for terms in h.comul_terms(2 * n - 2):
+        acc = [{} for _ in range(d ** n)]
+        for legs, coeff in terms:
+            cols = [{0: coeff}]
+            for i in range(n):
+                op = L[legs[i]]
+                if i < n - 1:
+                    op = op @ h.mult_by(h.antipode_inv_of(legs[2 * n - 2 - i]), "right")
+                op = op.sparse_columns()
+                cols = [{r * d + s: v * w for r, v in col.items() for s, w in c.items()}
+                        for col in cols for c in op]
+            for sums, col in zip(acc, cols):
+                for k, v in col.items():
+                    sums[k] = sums[k] + v if k in sums else v
+        out.append([sparse_vector(F, sums) for sums in acc])
+    return out
 
 
 @dataclass
@@ -77,10 +106,6 @@ class CoringData:
     def dim(self):
         return self.hopf.dim ** 2
 
-    @property
-    def field(self):
-        return self.hopf.field
-
 
 def build_ayd_coring(h: HopfData) -> CoringData:
     """Assemble the coring; the underlying Hopf data must pass its axioms."""
@@ -90,14 +115,11 @@ def build_ayd_coring(h: HopfData) -> CoringData:
         raise PrerequisiteFailed(f"hopf axioms fail: {axioms.failures()[0].name}")
     F = h.field
     d = h.dim
-    R = h.right_mult()
     I_d = Matrix.identity(F, d)
-    left = _twisted_left_action(h, 2)
-    right = [kron(I_d, R[a]) for a in range(d)]
-    coproduct = kron(h.comul, I_d)
-    counit = kron(h.counit, I_d)
-    grouplike = kron(h.unit, h.unit)
-    return CoringData(h, left, right, coproduct, counit, grouplike)
+    left = [_from_columns(F, d * d, cols) for cols in _twisted_columns(h, 2)]
+    right = [kron(I_d, R) for R in h.right_mult()]
+    return CoringData(h, left, right, kron(h.comul, I_d), kron(h.counit, I_d),
+                      kron(h.unit, h.unit))
 
 
 def check_coring(c: CoringData) -> Report:
@@ -105,50 +127,47 @@ def check_coring(c: CoringData) -> Report:
     the structure maps, and grouplikeness of 1 (x) 1."""
     rep = Report("coring structure")
     h = c.hopf
-    F = h.field
-    d = h.dim
-    dc = c.dim
-    L = h.left_mult()
-    R = h.right_mult()
-    I_d = Matrix.identity(F, d)
-    I_c = Matrix.identity(F, dc)
+    F, d, dc = h.field, h.dim, c.dim
+    A = [m.sparse_columns() for m in c.left_action]
+    B = [m.sparse_columns() for m in c.right_action]
+    P = c.coproduct.sparse_columns()
+    E = c.counit.sparse_columns()
+    L = [m.sparse_columns() for m in h.left_mult()]
+    R = [m.sparse_columns() for m in h.right_mult()]
+    ident = [{j: F.one} for j in range(dc)]
 
-    def combo(ops, i, j):
-        return combine(F, dc, dc, zip(h.mul.col(i * d + j), ops))
+    def combos(ops, coords):
+        # per vector of coords, the columns of the sum of coords[k] * ops[k]
+        return list(zip(*(_apply(F, col_t, coords) for col_t in zip(*ops))))
 
+    products, unit = h.mul.sparse_columns(), h.unit.sparse_columns()
     for i in range(d):
+        left, right = combos(A, products[i * d:i * d + d]), combos(B, products[i * d:i * d + d])
         for j in range(d):
-            rep.compare(f"left action multiplicative at ({i},{j})",
-                        c.left_action[i] @ c.left_action[j], combo(c.left_action, i, j))
-            rep.compare(f"right action multiplicative at ({i},{j})",
-                        c.right_action[j] @ c.right_action[i], combo(c.right_action, i, j))
-            rep.compare(f"actions commute at ({i},{j})",
-                        c.left_action[i] @ c.right_action[j],
-                        c.right_action[j] @ c.left_action[i])
-    unit = h.unit.col(0)
-    rep.compare("left action unital", combine(F, dc, dc, zip(unit, c.left_action)), I_c)
-    rep.compare("right action unital", combine(F, dc, dc, zip(unit, c.right_action)), I_c)
+            rep.compare_columns(f"left action multiplicative at ({i},{j})",
+                                _apply(F, A[i], A[j]), left[j])
+            rep.compare_columns(f"right action multiplicative at ({i},{j})",
+                                _apply(F, B[j], B[i]), right[j])
+            rep.compare_columns(f"actions commute at ({i},{j})",
+                                _apply(F, A[i], B[j]), _apply(F, B[j], A[i]))
+    rep.compare_columns("left action unital", combos(A, unit)[0], ident)
+    rep.compare_columns("right action unital", combos(B, unit)[0], ident)
 
-    three = _twisted_left_action(h, 3)
+    three = _twisted_columns(h, 3)
     for a in range(d):
-        rep.compare(f"counit left linear at basis {a}",
-                    c.counit @ c.left_action[a], L[a] @ c.counit)
-        rep.compare(f"counit right linear at basis {a}",
-                    c.counit @ c.right_action[a], R[a] @ c.counit)
-        rep.compare(f"coproduct left linear at basis {a}",
-                    c.coproduct @ c.left_action[a], three[a] @ c.coproduct)
-        rep.compare(f"coproduct right linear at basis {a}",
-                    c.coproduct @ c.right_action[a],
-                    kron(Matrix.identity(F, d * d), R[a]) @ c.coproduct)
-    rep.compare("coassociativity",
-                kron(h.comul, Matrix.identity(F, d * d)) @ c.coproduct,
-                kron(I_d, c.coproduct) @ c.coproduct,
-                row_dims=(d, d, d, d), col_dims=(d, d))
-    rep.compare("left counit law",
-                kron(h.counit, Matrix.identity(F, d * d)) @ c.coproduct, I_c,
-                col_dims=(d, d))
-    rep.compare("right counit law",
-                kron(I_d, c.counit) @ c.coproduct, I_c, col_dims=(d, d))
+        rep.compare_columns(f"counit left linear at basis {a}",
+                            _apply(F, E, A[a]), _apply(F, L[a], E))
+        rep.compare_columns(f"counit right linear at basis {a}",
+                            _apply(F, E, B[a]), _apply(F, R[a], E))
+        rep.compare_columns(f"coproduct left linear at basis {a}",
+                            _apply(F, P, A[a]), _apply(F, three[a], P))
+        rep.compare_columns(f"coproduct right linear at basis {a}",
+                            _apply(F, P, B[a]), _apply(F, R[a], P, d))
+    rep.compare_columns("coassociativity", _apply(F, h.comul.sparse_columns(), P, d * d, d * d),
+                        _apply(F, P, P, d ** 3), row_dims=(d, d, d, d), col_dims=(d, d))
+    rep.compare_columns("left counit law", _apply(F, h.counit.sparse_columns(), P, 1, d * d),
+                        ident, col_dims=(d, d))
+    rep.compare_columns("right counit law", _apply(F, E, P, d), ident, col_dims=(d, d))
     rep.compare("grouplike coproduct",
                 c.coproduct @ c.grouplike, kron(h.unit, kron(h.unit, h.unit)),
                 row_dims=(d, d, d))
@@ -226,10 +245,6 @@ class DgaData:
     d1: Matrix
     omega1_act: list
 
-    @property
-    def field(self):
-        return self.hopf.field
-
     def omega_dim(self, n):
         if n == 0:
             return self.hopf.dim
@@ -244,8 +259,7 @@ def build_dga(h: HopfData) -> DgaData:
     or the degree raising maps escape the counit kernel.
     """
     check_dimension_cap(h)
-    F = h.field
-    d = h.dim
+    F, d = h.field, h.dim
     eps = h.counit
     counit = eps.sparse_rows()[0]
     if not counit:
@@ -267,41 +281,40 @@ def build_dga(h: HopfData) -> DgaData:
     I_d = Matrix.identity(F, d)
     proj_plus = proj_w @ (I_d - h.unit @ eps)
 
-    # T(h) = h_(1) Sinv(h_(3)) (x) h_(2), the twisted part of the differential
-    L = h.left_mult()
-    T = Matrix.from_entries(F, d * d, d, (
-        (r * d + c, a, coeff * v)
-        for a, terms in enumerate(h.comul_terms(2)) for ((b, c, dd), coeff) in terms
-        for r, v in enumerate(
-            (h.mult_by(h.antipode_inv_of(dd), "right") @ L[b] @ h.unit).col(0))))
-    raw0 = kron(h.unit, I_d) - T
+    # T(h) = h_(1) Sinv(h_(3)) (x) h_(2), the twisted part of the differential,
+    # is the twisting applied to 1 (x) 1; with no forms the lists below are empty
+    twisted = _twisted_columns(h, 2)
+    units = kron(h.unit, h.unit).sparse_columns()
+    T = [_apply(F, tw, units)[0] for tw in twisted]
+    raw0 = kron(h.unit, I_d) - _from_columns(F, d * d, T)
     if not (kron(eps, I_d) @ raw0).is_zero():
         raise PrerequisiteFailed("degree one image escapes the counit kernel")
     d0 = kron(proj_plus, I_d) @ raw0
 
-    if dplus == 0:
-        d1 = Matrix.zeros(F, 0, 0)
-        omega1_act = [Matrix.zeros(F, 0, 0) for _ in range(d)]
-        return DgaData(h, dplus, incl, proj_w, proj_plus, d0, d1, omega1_act)
-
-    raw1 = (kron(h.unit, Matrix.identity(F, d * d))
-            - kron(h.comul, I_d)
-            + kron(I_d, T)) @ kron(incl, I_d)
-    if not (kron(eps, Matrix.identity(F, d * d)) @ raw1).is_zero():
+    # the columns of kron(incl, I_d), and the raw degree two map on them:
+    # u (x) y -> 1 (x) u (x) y - Delta(u) (x) y + u (x) T(y)
+    plus = [{u * d + y: v for u, v in col.items()}
+            for col in incl.sparse_columns() for y in range(d)]
+    slot_one = _apply(F, (kron(h.unit, I_d) - h.comul).sparse_columns(), plus, d * d, d)
+    raw1 = [sparse_vector(F, {k: x.get(k, 0) + y.get(k, 0) for k in x.keys() | y.keys()})
+            for x, y in zip(slot_one, _apply(F, T, plus, d * d))]
+    eps_cols = eps.sparse_columns()
+    if any(_apply(F, eps_cols, raw1, 1, d * d)):
         raise PrerequisiteFailed("degree two image escapes the counit kernel in slot one")
-    if not (kron(I_d, kron(eps, I_d)) @ raw1).is_zero():
+    if any(_apply(F, eps_cols, raw1, 1, d)):
         raise PrerequisiteFailed("degree two image escapes the counit kernel in slot two")
-    d1 = kron(proj_plus, kron(proj_plus, I_d)) @ raw1
-    if not (d1 @ d0).is_zero():
+    pp = proj_plus.sparse_columns()
+    d1 = _apply(F, pp, _apply(F, pp, raw1, dplus, d), dplus, dplus * d)
+    if any(_apply(F, d1, d0.sparse_columns())):
         raise PrerequisiteFailed("the degree raising maps do not compose to zero")
+    d1 = _from_columns(F, dplus * dplus * d, d1)
 
-    twisted = _twisted_left_action(h, 2)
     omega1_act = []
-    for a in range(d):
-        restricted = twisted[a] @ kron(incl, I_d)
-        if not (kron(eps, I_d) @ restricted).is_zero():
+    for tw in twisted:
+        restricted = _apply(F, tw, plus)
+        if any(_apply(F, eps_cols, restricted, 1, d)):
             raise PrerequisiteFailed("the action leaks out of the counit kernel")
-        omega1_act.append(kron(proj_plus, I_d) @ restricted)
+        omega1_act.append(_from_columns(F, dplus * d, _apply(F, pp, restricted, dplus, d)))
     return DgaData(h, dplus, incl, proj_w, proj_plus, d0, d1, omega1_act)
 
 

@@ -9,10 +9,10 @@ Structure constants enter as sparse triples (i, j, k, scalar), and the
 scalars given at a repeated triple add up; how the structure matrices are
 stored is `exactla`'s business.  Iterated coproducts are kept only as sparse
 terms (`comul_terms`), each one expanding the first leg of the one before;
-they and the one-sided multiplication operators are cached on the object
-after first use.  The algebra and coalgebra law verdicts are written once
-(`compare_algebra_laws`, `compare_coalgebra_laws`) and shared with the
-module (co)algebra checks.
+they, the one-sided multiplication operators and the axiom report are cached
+on the object after first use.  The algebra and coalgebra law verdicts are
+written once (`compare_algebra_laws`, `compare_coalgebra_laws`) and shared
+with the module (co)algebra checks.
 """
 
 from __future__ import annotations
@@ -232,7 +232,10 @@ def compare_coalgebra_laws(rep: Report, c: CoalgebraData):
 
 def check_hopf_axioms(h: HopfData) -> Report:
     """Verify every Hopf axiom, including the co-opposite axiom for the
-    declared antipode inverse.  Each verdict carries a witness on failure."""
+    declared antipode inverse.  Each verdict carries a witness on failure.
+    The report is cached on h; callers copy its verdicts, never change it."""
+    if "axioms" in h._cache:
+        return h._cache["axioms"]
     rep = Report("hopf axioms")
     F = h.field
     d = h.dim
@@ -244,15 +247,16 @@ def check_hopf_axioms(h: HopfData) -> Report:
     compare_coalgebra_laws(rep, h.coalgebra)
 
     # Bialgebra: comul and counit are algebra maps.
-    # (comul (x) comul) with its middle legs swapped, written from the terms
+    # Delta(e_i) Delta(e_j), written from the terms and the columns of mul
     terms = h.comul_terms(1)
-    mid_swapped = Matrix.from_entries(F, d ** 4, d * d, [
-        (((a * d + c) * d + b) * d + e, i * d + j, v * w)
+    prods = mul.sparse_columns()
+    products = Matrix.from_entries(F, d * d, d * d, [
+        (k * d + l, i * d + j, v * w * x * y)
         for i in range(d) for j in range(d)
-        for ((a, b), v) in terms[i] for ((c, e), w) in terms[j]])
+        for ((a, b), v) in terms[i] for ((c, e), w) in terms[j]
+        for k, x in prods[a * d + c].items() for l, y in prods[b * d + e].items()])
     rep.compare(
-        "comultiplication multiplicative",
-        com @ mul, kron(mul, mul) @ mid_swapped,
+        "comultiplication multiplicative", com @ mul, products,
         row_dims=(d, d), col_dims=(d, d),
     )
     rep.compare("counit multiplicative", eps @ mul, kron(eps, eps), col_dims=(d, d))
@@ -271,6 +275,7 @@ def check_hopf_axioms(h: HopfData) -> Report:
     com_op = h.coalgebra.co_opposite().comul
     rep.compare("co-opposite antipode left", mul @ kron(Sinv, I) @ com_op, target, col_dims=(d,))
     rep.compare("co-opposite antipode right", mul @ kron(I, Sinv) @ com_op, target, col_dims=(d,))
+    h._cache["axioms"] = rep
     return rep
 
 

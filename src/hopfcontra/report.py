@@ -45,8 +45,11 @@ def first_difference(lhs: Matrix, rhs: Matrix, row_dims=None, col_dims=None):
     at = lhs.first_difference(rhs)
     if at is None:
         return None
-    i, j = at
-    witness = {"row": i, "col": j, "lhs": str(lhs.entry(i, j)), "rhs": str(rhs.entry(i, j))}
+    return _witness(*at, lhs.entry(*at), rhs.entry(*at), row_dims, col_dims)
+
+
+def _witness(i, j, lhs, rhs, row_dims, col_dims):
+    witness = {"row": i, "col": j, "lhs": str(lhs), "rhs": str(rhs)}
     if row_dims:
         witness["row_index"] = split_index(i, row_dims)
     if col_dims:
@@ -83,6 +86,15 @@ class Report:
         witness = first_difference(lhs, rhs, row_dims, col_dims)
         self.add(name, witness is None, witness)
         return witness is None
+
+    def compare_columns(self, name, lhs, rhs, row_dims=None, col_dims=None):
+        """`compare` on two matrices of one shape given as lists of sparse
+        {row: scalar} columns, with the same witness, forming neither."""
+        at = min(((min(i for i in l.keys() | r.keys() if l.get(i) != r.get(i)), j)
+                  for j, (l, r) in enumerate(zip(lhs, rhs)) if l != r), default=None)
+        self.add(name, at is None, at and _witness(
+            *at, lhs[at[1]].get(at[0], 0), rhs[at[1]].get(at[0], 0), row_dims, col_dims))
+        return at is None
 
     def note(self, note_id):
         if note_id not in NOTES:

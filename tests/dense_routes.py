@@ -10,6 +10,16 @@ iterated coproduct that `HopfData.comul_terms` computes sparsely.  An
 equivariant basis, kept by the package as sparse columns only, is
 densified here (`dense_basis`) for the oracles to solve against.
 
+The dense product of coproducts that `check_hopf_axioms` once formed
+through a d^4 x d^2 middle swap is `product_of_coproducts`.
+
+`hopfcontra.homconn` checks the coring laws and builds the calculus on
+sparse columns.  The dense route it replaced is kept here: the twisted
+actions as combinations of kron products (`twisted_left_action`), the
+coring laws as products of full matrices up to H^(x)4 (`dense_check_coring`)
+and the calculus's degree maps and one-form actions through the raw maps on
+H (x) H (x) H (`dense_degree_maps`).
+
 The package reads every homology table off ranks of one chain complex.
 The three routes it used before are kept here as its oracle
 (`quotient_route_dims`): Hochschild tables from the middle homology of
@@ -130,6 +140,18 @@ def iterated_comul(h, k):
     for _ in range(k):
         out = kron(out, Matrix.identity(h.field, h.dim)) @ h.comul
     return out
+
+
+def product_of_coproducts(h):
+    """Delta(e_i) Delta(e_j) as columns (i, j): kron(mul, mul) after the
+    four-fold tensor (comul (x) comul) with its middle legs swapped."""
+    F, d = h.field, h.dim
+    terms = h.comul_terms(1)
+    mid_swapped = Matrix.from_entries(F, d ** 4, d * d, [
+        (((a * d + c) * d + b) * d + e, i * d + j, v * w)
+        for i in range(d) for j in range(d)
+        for ((a, b), v) in terms[i] for ((c, e), w) in terms[j]])
+    return kron(h.mul, h.mul) @ mid_swapped
 
 
 def hom_precompose(g, dm):
@@ -270,3 +292,101 @@ def hom_bimodule_actions(a, m):
     rep.compare("right action unital", unit_r, ident)
     rep.compare("left action unital", unit_l, ident)
     return left_ops, right_ops, rep
+
+
+def twisted_left_action(h, n):
+    """Operators on H^(x)n of the twisting h.(u (x) x) = h_(1) u Sinv(h_(3)) (x) h_(2) x
+    (n = 2) and its transport to more factors: with the 2n-1 legs of the
+    (2n-2)-fold coproduct, factor i < n-1 is L(leg i) R(Sinv(leg 2n-2-i)) and
+    the last factor is L(leg n-1)."""
+    L = h.left_mult()
+
+    def term(legs):
+        op = L[legs[n - 1]]
+        for i in reversed(range(n - 1)):
+            twist = h.mult_by(h.antipode_inv_of(legs[2 * n - 2 - i]), "right")
+            op = kron(L[legs[i]] @ twist, op)
+        return op
+
+    size = h.dim ** n
+    return [combine(h.field, size, size, [(coeff, term(legs)) for legs, coeff in terms])
+            for terms in h.comul_terms(2 * n - 2)]
+
+
+def dense_check_coring(c):
+    """The coring laws of `homconn.check_coring`, each side a full matrix."""
+    rep = Report("coring structure")
+    h = c.hopf
+    F = h.field
+    d = h.dim
+    dc = c.dim
+    L = h.left_mult()
+    R = h.right_mult()
+    I_d = Matrix.identity(F, d)
+    I_c = Matrix.identity(F, dc)
+
+    def combo(ops, i, j):
+        return combine(F, dc, dc, zip(h.mul.col(i * d + j), ops))
+
+    for i in range(d):
+        for j in range(d):
+            rep.compare(f"left action multiplicative at ({i},{j})",
+                        c.left_action[i] @ c.left_action[j], combo(c.left_action, i, j))
+            rep.compare(f"right action multiplicative at ({i},{j})",
+                        c.right_action[j] @ c.right_action[i], combo(c.right_action, i, j))
+            rep.compare(f"actions commute at ({i},{j})",
+                        c.left_action[i] @ c.right_action[j],
+                        c.right_action[j] @ c.left_action[i])
+    unit = h.unit.col(0)
+    rep.compare("left action unital", combine(F, dc, dc, zip(unit, c.left_action)), I_c)
+    rep.compare("right action unital", combine(F, dc, dc, zip(unit, c.right_action)), I_c)
+
+    three = twisted_left_action(h, 3)
+    for a in range(d):
+        rep.compare(f"counit left linear at basis {a}",
+                    c.counit @ c.left_action[a], L[a] @ c.counit)
+        rep.compare(f"counit right linear at basis {a}",
+                    c.counit @ c.right_action[a], R[a] @ c.counit)
+        rep.compare(f"coproduct left linear at basis {a}",
+                    c.coproduct @ c.left_action[a], three[a] @ c.coproduct)
+        rep.compare(f"coproduct right linear at basis {a}",
+                    c.coproduct @ c.right_action[a],
+                    kron(Matrix.identity(F, d * d), R[a]) @ c.coproduct)
+    rep.compare("coassociativity",
+                kron(h.comul, Matrix.identity(F, d * d)) @ c.coproduct,
+                kron(I_d, c.coproduct) @ c.coproduct,
+                row_dims=(d, d, d, d), col_dims=(d, d))
+    rep.compare("left counit law",
+                kron(h.counit, Matrix.identity(F, d * d)) @ c.coproduct, I_c,
+                col_dims=(d, d))
+    rep.compare("right counit law",
+                kron(I_d, c.counit) @ c.coproduct, I_c, col_dims=(d, d))
+    rep.compare("grouplike coproduct",
+                c.coproduct @ c.grouplike, kron(h.unit, kron(h.unit, h.unit)),
+                row_dims=(d, d, d))
+    rep.compare("grouplike counit", c.counit @ c.grouplike, h.unit, row_dims=(d,))
+    return rep
+
+
+def dense_degree_maps(h, incl, proj_plus):
+    """(d0, d1, omega1_act) of the calculus on the counit kernel with the given
+    inclusion and projection, through the dense raw maps: T(h) =
+    h_(1) Sinv(h_(3)) (x) h_(2) from the iterated coproduct, the raw degree two
+    map on H (x) H (x) H and the twisted action restricted to Hplus (x) H."""
+    F = h.field
+    d = h.dim
+    I_d = Matrix.identity(F, d)
+    L = h.left_mult()
+    T = Matrix.from_entries(F, d * d, d, (
+        (r * d + c, a, coeff * v)
+        for a, terms in enumerate(h.comul_terms(2)) for ((b, c, dd), coeff) in terms
+        for r, v in enumerate(
+            (h.mult_by(h.antipode_inv_of(dd), "right") @ L[b] @ h.unit).col(0))))
+    d0 = kron(proj_plus, I_d) @ (kron(h.unit, I_d) - T)
+    raw1 = (kron(h.unit, Matrix.identity(F, d * d))
+            - kron(h.comul, I_d)
+            + kron(I_d, T)) @ kron(incl, I_d)
+    d1 = kron(proj_plus, kron(proj_plus, I_d)) @ raw1
+    omega1_act = [kron(proj_plus, I_d) @ op @ kron(incl, I_d)
+                  for op in twisted_left_action(h, 2)]
+    return d0, d1, omega1_act

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hopfcontra import cli
+from hopfcontra import cli, hopf
 from hopfcontra.cli import main
+from hopfcontra.exactla import Matrix
 from hopfcontra.session import load_session
 
 from explicit_hopf import cyclic_group_session
@@ -207,20 +208,51 @@ def test_homconn_cap_is_checked_before_the_coring(monkeypatch):
 
 
 def test_homconn_on_an_eight_dimensional_group_algebra_fits_in_512_mb(tmp_path):
-    # the threefold action of k[Z/8] is 512 x 512; a dense iterated
-    # coproduct would need kron(comul, I_512) at 32768 x 4096 cells
+    # a dense threefold action of k[Z/8] would be 512 x 512, and a dense
+    # iterated coproduct kron(comul, I_512) 32768 x 4096 cells
     session = tmp_path / "c8.session"
     session.write_text(json.dumps(cyclic_group_session(7, 8)))
-    limit = 512 << 20
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    proc = subprocess.run([sys.executable, "-m", "hopfcontra", "report", str(session)],
-                          capture_output=True, text=True, timeout=30,
-                          env=_checkout_env(), preexec_fn=cap_address_space)
+    proc = run_capped(["report", session], 512)
     assert proc.returncode == 0, proc.stderr
     assert "pass coefficient k: curvature vanishes" in proc.stdout.splitlines()
+
+
+def test_homconn_on_a_twelve_dimensional_group_algebra_fits_in_256_mb(tmp_path):
+    # the laws are checked on sparse columns; a dense coassociativity check
+    # would need kron(comul, I_144) at 20736 x 1728 cells
+    session = tmp_path / "c12.session"
+    session.write_text(json.dumps(cyclic_group_session(7, 12)))
+    proc = run_capped(["homconn", session], 256)
+    assert proc.returncode == 0, proc.stderr
+    assert "pass coefficient k: curvature vanishes" in proc.stdout.splitlines()
+
+
+def test_homconn_forms_no_matrix_beyond_d5_cells(tmp_path, monkeypatch):
+    # d^5 is the size of the coring coproduct d^3 x d^2; a kron(comul, I_d^2)
+    # would have d^7 cells
+    session = tmp_path / "c12.session"
+    session.write_text(json.dumps(cyclic_group_session(7, 12)))
+    largest = []
+    init = Matrix.__init__
+
+    def recording(self, field, rows, cols, data):
+        largest.append(rows * cols)
+        init(self, field, rows, cols, data)
+
+    monkeypatch.setattr(Matrix, "__init__", recording)
+    res = _invoke(["homconn", session])
+    assert res.exit_code == 0, res.output
+    assert max(largest) <= 12 ** 5
+
+
+def test_h4_homconn_checks_the_hopf_axioms_once(monkeypatch):
+    # the check task, the coring and the calculus share one cached report
+    calls = []
+    laws = hopf.compare_coalgebra_laws
+    monkeypatch.setattr(hopf, "compare_coalgebra_laws",
+                        lambda rep, c: calls.append(c) or laws(rep, c))
+    assert _invoke(["report", SESSIONS / "h4_homconn.session"]).exit_code == 0
+    assert len(calls) == 1
 
 
 def test_task_errors_name_task_and_coefficient(tmp_path):
@@ -321,6 +353,19 @@ def _checkout_env():
     rest = os.environ.get("PYTHONPATH")
     return dict(os.environ,
                 PYTHONPATH=os.pathsep.join([src, rest]) if rest else src)
+
+
+def run_capped(args, limit_mb):
+    """`python -m hopfcontra ARGS` on the checkout under test, with its address
+    space capped at limit_mb and its run at the 30 s budget."""
+    limit = limit_mb << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run([sys.executable, "-m", "hopfcontra"] + [str(a) for a in args],
+                          capture_output=True, text=True, timeout=30,
+                          env=_checkout_env(), preexec_fn=cap_address_space)
 
 
 def test_console_script_round_trip(tmp_path):

@@ -4,7 +4,8 @@ The regression tests pin three inputs that used to end in a traceback or
 never end: a task coefficient that is not a string, a huge `max_degree` on
 a one dimensional module (co)algebra, and a declared `dim` beyond the cap.
 The fuzz test mutates the bundled sessions one value at a time and runs
-`report` in-process under a small dimension cap.
+`report` in-process under a small dimension cap.  A `check` on k[Z/24],
+whose Hopf axiom products once reached d^6 cells, must fit in 512 MB.
 """
 
 import json
@@ -18,6 +19,9 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from hopfcontra.cli import main
+
+from explicit_hopf import cyclic_group_session
+from test_cli import run_capped
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 BUNDLED = sorted(p.stem for p in SESSIONS.glob("*.session"))
@@ -123,3 +127,15 @@ def test_mutated_sessions_end_with_a_located_exit(mutation):
         parent[path[-1]] = value
     with tempfile.TemporaryDirectory() as tmp:
         _located(_report(doc, tmp, cap=SMALL_CAP))
+
+
+def test_check_on_a_24_dimensional_group_algebra_fits_in_512_mb(tmp_path):
+    # "comultiplication multiplicative" is written as d^2 x d^2 entries; the
+    # d^4 x d^2 middle swap and kron(mul, mul) ran out of memory here
+    doc = cyclic_group_session(7, 24)
+    doc["tasks"] = [{"task": "check"}]
+    session = tmp_path / "c24.session"
+    session.write_text(json.dumps(doc))
+    proc = run_capped(["report", session], 512)
+    assert proc.returncode == 0, proc.stderr
+    assert "pass hopf: comultiplication multiplicative" in proc.stdout.splitlines()

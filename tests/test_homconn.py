@@ -1,5 +1,10 @@
+import dataclasses
+import json
+
 import pytest
 
+from dense_routes import dense_check_coring, dense_degree_maps, twisted_left_action
+from explicit_hopf import cyclic_group_session
 from hopfcontra import homconn
 from hopfcontra.ayd import (AydFlavour, build_trivial_coefficient,
                             one_dim_coefficient)
@@ -10,8 +15,16 @@ from hopfcontra.homconn import (build_ayd_coring, build_dga, check_coring,
                                 curvature_and_flatness,
                                 hom_connection_from_contramodule)
 from hopfcontra.hopf import CoalgebraData, HopfData
+from hopfcontra.session import load_session
 
 RR = AydFlavour.from_code("rr")
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(trivial, c2, c3, h4, h4_gf7, tmp_path_factory):
+    path = tmp_path_factory.mktemp("z5") / "z5.session"
+    path.write_text(json.dumps(cyclic_group_session(7, 5)))
+    return [trivial, c2, c3, h4, h4_gf7, load_session(path).hopf]
 
 
 def _eval_at_group_rr(h):
@@ -58,6 +71,52 @@ def test_coring_requires_hopf_axioms(h4):
     broken = HopfData(h4.algebra, h4.coalgebra, Matrix.identity(QQ, 4))
     with pytest.raises(PrerequisiteFailed):
         build_ayd_coring(broken)
+
+
+def test_coring_matches_the_dense_route(oracle_cases):
+    for h in oracle_cases:
+        coring = build_ayd_coring(h)
+        assert coring.left_action == twisted_left_action(h, 2)
+        rep = check_coring(coring)
+        assert rep.ok
+        assert rep.as_json() == dense_check_coring(coring).as_json()
+
+
+def _bumped(m, i, j):
+    """m with one added to its entry (i, j)."""
+    return m + Matrix.from_entries(m.field, m.rows, m.cols, [(i, j, 1)])
+
+
+def _broken_corings(c):
+    """One coring per structure map, each with one entry of it changed."""
+    d, dc = c.hopf.dim, c.dim
+    last = [_bumped(m, dc - 1, 0) if a == d - 1 else m for a, m in enumerate(c.left_action)]
+    first = [_bumped(m, 0, dc - 1) if a == 0 else m for a, m in enumerate(c.right_action)]
+    yield dataclasses.replace(c, left_action=last)
+    yield dataclasses.replace(c, right_action=first)
+    yield dataclasses.replace(c, coproduct=_bumped(c.coproduct, d ** 3 - 1, dc // 2))
+    yield dataclasses.replace(c, counit=_bumped(c.counit, 0, dc - 1))
+
+
+def test_broken_corings_fail_with_the_dense_witnesses(oracle_cases):
+    for h in oracle_cases:
+        for broken in _broken_corings(build_ayd_coring(h)):
+            rep = check_coring(broken)
+            assert not rep.ok
+            assert all(v.witness for v in rep.failures())
+            assert rep.as_json() == dense_check_coring(broken).as_json()
+
+
+def test_calculus_and_connection_match_the_dense_route(oracle_cases):
+    for h in oracle_cases:
+        dga = build_dga(h)
+        d0, d1, omega1_act = dense_degree_maps(h, dga.incl, dga.proj_plus)
+        dense = dataclasses.replace(dga, d0=d0, d1=d1, omega1_act=omega1_act)
+        assert dga == dense
+        coeff = _eval_at_group_rr(h) if h.dim == 4 else build_trivial_coefficient(h, RR)
+        hc = hom_connection_from_contramodule(coeff, dga)
+        hc_dense = hom_connection_from_contramodule(coeff, dense)
+        assert (hc.nabla0, hc.nabla1) == (hc_dense.nabla0, hc_dense.nabla1)
 
 
 # -------------------------------------------------- contramodule equivalence

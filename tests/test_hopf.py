@@ -9,9 +9,10 @@ from hopfcontra.errors import CharacteristicClash, UnknownName
 from hopfcontra.exactla import GF, QQ, Matrix, split_index, tensor_permutation
 from hopfcontra.hopf import (AlgebraData, CoalgebraData, HopfData,
                              build_named_example, check_hopf_axioms)
+from hopfcontra.report import first_difference
 from hopfcontra.session import load_session
 
-from dense_routes import iterated_comul
+from dense_routes import iterated_comul, product_of_coproducts
 from explicit_hopf import taft_session
 
 NAMED = ("trivial", "group_C2", "group_C3", "sweedler_H4")
@@ -140,6 +141,19 @@ def _mutated_copy(h, rng):
     return HopfData(algebra, coalgebra, antipode, h.antipode_inv)
 
 
+@pytest.mark.parametrize("name", ["group_C3", "sweedler_H4"])
+def test_comultiplicativity_witness_matches_the_dense_route(name):
+    h = build_named_example(name, QQ)
+    rng = random.Random(11)
+    for mutant in [h] + [_mutated_copy(h, rng) for _ in range(30)]:
+        verdict = next(v for v in check_hopf_axioms(mutant).verdicts
+                       if v.name == "comultiplication multiplicative")
+        d = mutant.dim
+        assert verdict.witness == first_difference(
+            mutant.comul @ mutant.mul, product_of_coproducts(mutant),
+            row_dims=(d, d), col_dims=(d, d))
+
+
 @pytest.mark.parametrize("name,seed", [("group_C2", 20240), ("sweedler_H4", 20241)])
 def test_single_constant_mutations_always_fail(name, seed):
     h = build_named_example(name, QQ)
@@ -159,3 +173,13 @@ def test_mult_by_and_side_operators(c2):
     assert left[1] == right[1]
     coords = c2.mult_by([Fraction(2), Fraction(3)], "left")
     assert coords == left[0].scale(Fraction(2)) + left[1].scale(Fraction(3))
+
+
+def test_axioms_report_is_made_once_per_hopf_algebra():
+    h = build_named_example("sweedler_H4", QQ)
+    first = check_hopf_axioms(h)
+    assert check_hopf_axioms(h) is first
+    # a new object with the same constants gets its own report
+    again = HopfData(h.algebra, h.coalgebra, h.antipode, h.antipode_inv)
+    assert check_hopf_axioms(again) is not first
+    assert check_hopf_axioms(again).as_json() == first.as_json()
